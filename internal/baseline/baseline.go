@@ -408,12 +408,13 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 	// travels as a real PKE envelope sealed under the receiving role's key
 	// (the driver additionally hands the shares over in-process).
 	shares := dealerShares
+	dealerSeal := pke.NewSealer(p.PKE)
 	for i, sh := range shares {
 		data, err := te.EncodeKeyShare(sh)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: encoding dealer tsk share %d: %w", i+1, err)
 		}
-		env, err := committees[0].Role(i + 1).PublicKey().Encrypt(data)
+		env, err := dealerSeal.Encrypt(committees[0].Role(i+1).PublicKey(), data)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: sealing dealer tsk share %d: %w", i+1, err)
 		}
@@ -487,12 +488,13 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 				}
 				// Each subshare travels sealed under the receiving role's
 				// key in the next committee.
+				seal := pke.NewSealer(p.PKE)
 				for _, sub := range subs {
 					data, err := te.EncodeSubShare(sub)
 					if err != nil {
 						return nil, nil, err
 					}
-					env, err := next.Role(sub.To()).PublicKey().Encrypt(data)
+					env, err := seal.Encrypt(next.Role(sub.To()).PublicKey(), data)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -685,6 +687,7 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 			}
 			envs := make(map[int]pke.Ciphertext, len(outs))
 			var wire []byte
+			seal := pke.NewSealer(p.PKE)
 			for _, og := range outs {
 				part, err := te.PartialDecrypt(r.tpk, sh, r.wireCt[og.wire])
 				if err != nil {
@@ -694,7 +697,7 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 				if err != nil {
 					return nil, nil, err
 				}
-				env, err := r.clients[og.client].PublicKey().Encrypt(data)
+				env, err := seal.Encrypt(r.clients[og.client].PublicKey(), data)
 				if err != nil {
 					return nil, nil, err
 				}

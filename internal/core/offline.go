@@ -91,12 +91,13 @@ func (r *run) offline() error {
 	// envelope sealed under the receiving role's key, metered as setup
 	// bytes. The driver additionally hands the shares over in-process.
 	te := p.TE
+	seal := pke.NewSealer(p.PKE)
 	for i, sh := range r.offDecShares {
 		data, err := te.EncodeKeyShare(sh)
 		if err != nil {
 			return fmt.Errorf("encoding dealer tsk share %d: %w", i+1, err)
 		}
-		ct, err := r.offDec.Role(i + 1).PublicKey().Encrypt(data)
+		ct, err := seal.Encrypt(r.offDec.Role(i+1).PublicKey(), data)
 		if err != nil {
 			return fmt.Errorf("sealing dealer tsk share %d: %w", i+1, err)
 		}
@@ -552,12 +553,13 @@ func (r *run) tskCommitteeSpeak(c *yoso.Committee, shares []tte.KeyShare, phase 
 				if err != nil {
 					return nil, err
 				}
+				seal := pke.NewSealer(p.PKE)
 				for _, sub := range subs {
 					data, err := te.EncodeSubShare(sub)
 					if err != nil {
 						return nil, err
 					}
-					env, err := targetKey(sub.To()).Encrypt(data)
+					env, err := seal.Encrypt(targetKey(sub.To()), data)
 					if err != nil {
 						return nil, err
 					}

@@ -217,6 +217,7 @@ func (r *run) offReSpeak() error {
 				gamma:  map[int][]envelope{},
 			}
 			from := r.offRe.Role(i).Name()
+			seal := pke.NewSealer(p.PKE)
 			encPartial := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
 				part, err := te.PartialDecrypt(r.tpk, sh, ct)
 				if err != nil {
@@ -226,7 +227,7 @@ func (r *run) offReSpeak() error {
 				if err != nil {
 					return envelope{}, err
 				}
-				env, err := key.Encrypt(data)
+				env, err := seal.Encrypt(key, data)
 				if err != nil {
 					return envelope{}, err
 				}
@@ -271,7 +272,7 @@ func (r *run) offReSpeak() error {
 				if err != nil {
 					return nil, err
 				}
-				env, err := r.offBridge.Role(sub.To()).PublicKey().Encrypt(data)
+				env, err := seal.Encrypt(r.offBridge.Role(sub.To()).PublicKey(), data)
 				if err != nil {
 					return nil, err
 				}
@@ -417,6 +418,7 @@ func (r *run) onC1Speak() error {
 			}
 			from := r.onC1.Role(i).Name()
 			payload := kffDelivery{layer: map[[2]int]envelope{}, client: map[int]envelope{}}
+			seal := pke.NewSealer(p.PKE)
 			encTo := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
 				part, err := te.PartialDecrypt(r.tpk, sh, ct)
 				if err != nil {
@@ -426,7 +428,7 @@ func (r *run) onC1Speak() error {
 				if err != nil {
 					return envelope{}, err
 				}
-				env, err := key.Encrypt(data)
+				env, err := seal.Encrypt(key, data)
 				if err != nil {
 					return envelope{}, err
 				}
@@ -458,7 +460,7 @@ func (r *run) onC1Speak() error {
 				if err != nil {
 					return nil, err
 				}
-				env, err := r.onOut.Role(sub.To()).PublicKey().Encrypt(data)
+				env, err := seal.Encrypt(r.onOut.Role(sub.To()).PublicKey(), data)
 				if err != nil {
 					return nil, err
 				}
@@ -533,6 +535,7 @@ func (r *run) onC1SpeakNoKFF(shares []tte.KeyShare) error {
 				gamma:  map[int][]envelope{},
 			}
 			from := r.onC1.Role(i).Name()
+			seal := pke.NewSealer(p.PKE)
 			encPartial := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
 				part, err := te.PartialDecrypt(r.tpk, sh, ct)
 				if err != nil {
@@ -542,7 +545,7 @@ func (r *run) onC1SpeakNoKFF(shares []tte.KeyShare) error {
 				if err != nil {
 					return envelope{}, err
 				}
-				env, err := key.Encrypt(data)
+				env, err := seal.Encrypt(key, data)
 				if err != nil {
 					return envelope{}, err
 				}
@@ -585,7 +588,7 @@ func (r *run) onC1SpeakNoKFF(shares []tte.KeyShare) error {
 				if err != nil {
 					return nil, err
 				}
-				env, err := r.onOut.Role(sub.To()).PublicKey().Encrypt(data)
+				env, err := seal.Encrypt(r.onOut.Role(sub.To()).PublicKey(), data)
 				if err != nil {
 					return nil, err
 				}
@@ -1016,6 +1019,7 @@ func (r *run) onlineOutput() (map[int][]field.Element, error) {
 			}
 			from := r.onOut.Role(i).Name()
 			payload := outputPayload{envs: map[int]envelope{}}
+			seal := pke.NewSealer(p.PKE)
 			for _, og := range outs {
 				part, err := te.PartialDecrypt(r.tpk, sh, r.wireCt[og.wire])
 				if err != nil {
@@ -1025,7 +1029,7 @@ func (r *run) onlineOutput() (map[int][]field.Element, error) {
 				if err != nil {
 					return nil, err
 				}
-				env, err := r.clients[og.client].role.PublicKey().Encrypt(data)
+				env, err := seal.Encrypt(r.clients[og.client].role.PublicKey(), data)
 				if err != nil {
 					return nil, err
 				}

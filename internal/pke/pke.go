@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // SecretKeySize is the size of an encoded secret key in bytes.
@@ -56,6 +57,35 @@ type Ciphertext interface {
 	Size() int
 }
 
+// Sealer seals the envelopes of one speaking role's step. A Sealer is
+// used by one goroutine and dropped when the step returns.
+type Sealer interface {
+	// Encrypt produces an envelope carrying msg for pk.
+	Encrypt(pk PublicKey, msg []byte) (Ciphertext, error)
+}
+
+// StepSealer is implemented by backends that can amortize the envelopes
+// of one step: every envelope from one Sealer shares one ephemeral key.
+type StepSealer interface {
+	// NewSealer returns a sealer for one speaking role's step.
+	NewSealer() Sealer
+}
+
+// NewSealer returns s's step sealer when s implements StepSealer, and a
+// sealer that calls pk.Encrypt per envelope otherwise. Drivers call this
+// instead of type-asserting at every site.
+func NewSealer(s Scheme) Sealer {
+	if ss, ok := s.(StepSealer); ok {
+		return ss.NewSealer()
+	}
+	return perEnvelope{}
+}
+
+// perEnvelope is the fallback Sealer: one fresh envelope per call.
+type perEnvelope struct{}
+
+func (perEnvelope) Encrypt(pk PublicKey, msg []byte) (Ciphertext, error) { return pk.Encrypt(msg) }
+
 // Scheme generates and rehydrates keys.
 type Scheme interface {
 	// Name identifies the backend ("ecies-x25519" or "sim").
@@ -87,6 +117,12 @@ type eciesPub struct {
 
 type eciesSecret struct {
 	sk *ecdh.PrivateKey
+
+	// mu guards aeads: ephemeral public key → derived cipher, so all
+	// envelopes from one sealer cost one ECDH. Entries are added only
+	// after an authenticated open and live as long as the key.
+	mu    sync.Mutex
+	aeads map[string]cipher.AEAD
 }
 
 type eciesCT struct {
@@ -117,27 +153,79 @@ func (e *ECIES) SecretKeyFromBytes(data []byte) (SecretKey, error) {
 	return &eciesSecret{sk: sk}, nil
 }
 
-// Encrypt implements PublicKey: ECDH with an ephemeral key, key derivation
-// via SHA-256 over the shared secret and both public keys, AES-256-GCM.
+// Encrypt implements PublicKey: ECDH with a fresh ephemeral key, key
+// derivation via SHA-256 over the shared secret and both public keys,
+// AES-256-GCM.
 func (p *eciesPub) Encrypt(msg []byte) (Ciphertext, error) {
 	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("pke: ephemeral key: %w", err)
 	}
-	shared, err := eph.ECDH(p.pk)
-	if err != nil {
-		return nil, fmt.Errorf("pke: ECDH: %w", err)
-	}
-	aead, err := deriveAEAD(shared, eph.PublicKey().Bytes(), p.pk.Bytes())
+	ephPub := eph.PublicKey().Bytes()
+	aead, err := sealAEAD(eph, ephPub, p.pk)
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, aead.NonceSize())
+	return seal(aead, ephPub, msg)
+}
+
+// NewSealer implements StepSealer.
+func (e *ECIES) NewSealer() Sealer { return &eciesSealer{} }
+
+// eciesSealer seals every envelope of one step under one ephemeral key,
+// minted on first use, and derives each recipient's cipher once. The
+// KDF binds the recipient key, so the envelopes stay independent
+// (multi-recipient randomness re-use, Bellare–Boldyreva–Staddon 2003).
+type eciesSealer struct {
+	eph    *ecdh.PrivateKey
+	ephPub []byte
+	aeads  map[string]cipher.AEAD // recipient pk.Bytes() → cipher
+}
+
+// Encrypt implements Sealer. Keys of other types (another backend, or a
+// wrapper around an ECIES key) take pk.Encrypt.
+func (s *eciesSealer) Encrypt(pk PublicKey, msg []byte) (Ciphertext, error) {
+	p, ok := pk.(*eciesPub)
+	if !ok {
+		return pk.Encrypt(msg)
+	}
+	if s.eph == nil {
+		eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+		if err != nil {
+			return nil, fmt.Errorf("pke: ephemeral key: %w", err)
+		}
+		s.eph, s.ephPub = eph, eph.PublicKey().Bytes()
+		s.aeads = map[string]cipher.AEAD{}
+	}
+	recv := p.pk.Bytes()
+	aead, ok := s.aeads[string(recv)]
+	if !ok {
+		var err error
+		if aead, err = sealAEAD(s.eph, s.ephPub, p.pk); err != nil {
+			return nil, err
+		}
+		s.aeads[string(recv)] = aead
+	}
+	return seal(aead, s.ephPub, msg)
+}
+
+// sealAEAD derives the sender-side cipher for eph → recv.
+func sealAEAD(eph *ecdh.PrivateKey, ephPub []byte, recv *ecdh.PublicKey) (cipher.AEAD, error) {
+	shared, err := eph.ECDH(recv)
+	if err != nil {
+		return nil, fmt.Errorf("pke: ECDH: %w", err)
+	}
+	return deriveAEAD(shared, ephPub, recv.Bytes())
+}
+
+// seal encrypts msg under a fresh random nonce. Envelopes from one sealer
+// share the ephPub slice, which nothing mutates.
+func seal(aead cipher.AEAD, ephPub, msg []byte) (Ciphertext, error) {
+	nonce := make([]byte, aead.NonceSize(), aead.NonceSize()+len(msg)+aead.Overhead())
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("pke: nonce: %w", err)
 	}
-	sealed := aead.Seal(nonce, nonce, msg, nil)
-	return &eciesCT{ephemeral: eph.PublicKey().Bytes(), sealed: sealed}, nil
+	return &eciesCT{ephemeral: ephPub, sealed: aead.Seal(nonce, nonce, msg, nil)}, nil
 }
 
 // Bytes implements PublicKey.
@@ -149,31 +237,45 @@ func (p *eciesPub) Fingerprint() string {
 	return fmt.Sprintf("%x", sum[:6])
 }
 
-// Decrypt implements SecretKey.
+// Decrypt implements SecretKey. The cipher for an envelope's ephemeral
+// key is derived once per key and reused for later envelopes from the
+// same sealer; the ECDH and KDF run outside the lock.
 func (s *eciesSecret) Decrypt(ct Ciphertext) ([]byte, error) {
 	ec, ok := ct.(*eciesCT)
 	if !ok {
 		return nil, ErrWrongKey
 	}
-	ephPK, err := ecdh.X25519().NewPublicKey(ec.ephemeral)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad ephemeral key", ErrDecrypt)
-	}
-	shared, err := s.sk.ECDH(ephPK)
-	if err != nil {
-		return nil, fmt.Errorf("%w: ECDH", ErrDecrypt)
-	}
-	aead, err := deriveAEAD(shared, ec.ephemeral, s.sk.PublicKey().Bytes())
-	if err != nil {
-		return nil, err
-	}
-	if len(ec.sealed) < aead.NonceSize() {
+	if len(ec.sealed) < gcmNonceSize+gcmTagSize {
 		return nil, ErrShortData
 	}
-	nonce, body := ec.sealed[:aead.NonceSize()], ec.sealed[aead.NonceSize():]
+	s.mu.Lock()
+	aead, cached := s.aeads[string(ec.ephemeral)]
+	s.mu.Unlock()
+	if !cached {
+		ephPK, err := ecdh.X25519().NewPublicKey(ec.ephemeral)
+		if err != nil {
+			return nil, fmt.Errorf("%w: bad ephemeral key", ErrDecrypt)
+		}
+		shared, err := s.sk.ECDH(ephPK)
+		if err != nil {
+			return nil, fmt.Errorf("%w: ECDH", ErrDecrypt)
+		}
+		if aead, err = deriveAEAD(shared, ec.ephemeral, s.sk.PublicKey().Bytes()); err != nil {
+			return nil, err
+		}
+	}
+	nonce, body := ec.sealed[:gcmNonceSize], ec.sealed[gcmNonceSize:]
 	msg, err := aead.Open(nil, nonce, body, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
+	}
+	if !cached {
+		s.mu.Lock()
+		if s.aeads == nil {
+			s.aeads = map[string]cipher.AEAD{}
+		}
+		s.aeads[string(ec.ephemeral)] = aead
+		s.mu.Unlock()
 	}
 	return msg, nil
 }
@@ -184,14 +286,26 @@ func (s *eciesSecret) Bytes() []byte { return s.sk.Bytes() }
 // Public implements SecretKey.
 func (s *eciesSecret) Public() PublicKey { return &eciesPub{pk: s.sk.PublicKey()} }
 
+// gcmNonceSize and gcmTagSize are AES-GCM's standard nonce and tag sizes.
+const (
+	gcmNonceSize = 12
+	gcmTagSize   = 16
+)
+
+// deriveAEAD builds the envelope cipher from the ECDH shared secret and
+// both public keys, then wipes shared and the derived key bytes: only the
+// cipher's key schedule outlives the call.
 func deriveAEAD(shared, ephPub, recvPub []byte) (cipher.AEAD, error) {
+	defer clear(shared)
 	h := sha256.New()
 	h.Write([]byte("yosompc/ecies/v1"))
 	h.Write(shared)
 	h.Write(ephPub)
 	h.Write(recvPub)
-	key := h.Sum(nil)
-	block, err := aes.NewCipher(key)
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	defer clear(key[:])
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("pke: AES: %w", err)
 	}
@@ -203,6 +317,7 @@ func deriveAEAD(shared, ephPub, recvPub []byte) (cipher.AEAD, error) {
 }
 
 var (
-	_ Scheme = (*ECIES)(nil)
-	_ Scheme = (*Sim)(nil)
+	_ Scheme     = (*ECIES)(nil)
+	_ Scheme     = (*Sim)(nil)
+	_ StepSealer = (*ECIES)(nil)
 )

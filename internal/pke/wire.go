@@ -19,7 +19,7 @@ import (
 
 // eciesMinCT is the smallest well-formed ECIES envelope: ephemeral key,
 // GCM nonce, GCM tag.
-const eciesMinCT = 32 + 12 + 16
+const eciesMinCT = 32 + gcmNonceSize + gcmTagSize
 
 // EncodeCiphertext implements Scheme.
 func (e *ECIES) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
