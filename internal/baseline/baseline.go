@@ -8,8 +8,9 @@
 // gate — the cost the packed protocol in internal/core removes.
 //
 // The implementation runs on the same substrate (threshold encryption,
-// bulletin board, YOSO roles, adversary) and the same instrumentation, so
-// byte counts are directly comparable.
+// bulletin board, YOSO roles, adversary) and the same committee-step
+// engine (yoso.Engine) as the packed protocol, so byte counts and wall
+// clock are directly comparable.
 package baseline
 
 import (
@@ -121,14 +122,17 @@ type run struct {
 	wireCt     []tte.Ciphertext
 	beaver     map[int]*triple
 	depthCache map[int]int
-	excluded   []string
+	// eng runs every speaking step and records the excluded roles.
+	eng yoso.Engine
 }
 
 type triple struct{ a, b, c tte.Ciphertext }
 
-var boundP = new(big.Int).SetUint64(field.Modulus)
-
-func fieldCoeff(e field.Element) *big.Int { return new(big.Int).SetUint64(e.Uint64()) }
+// garbage is a malicious member's step message: size zero bytes, the
+// width of an honest message, with a forged proof the engine attaches.
+func garbage(size int) func(int) (yoso.Msg, error) {
+	return func(int) (yoso.Msg, error) { return yoso.Msg{Payload: "garbage", Wire: make([]byte, size)}, nil }
+}
 
 // Run executes the baseline protocol.
 func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
@@ -139,6 +143,8 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 		}
 	}
 	r := &run{p: p, clients: map[int]*yoso.Role{}, beaver: map[int]*triple{}}
+	// Members fan out on the default pool (Workers 0), untraced.
+	r.eng = yoso.Engine{Board: p.board, Auth: p.auth, Domain: "baseline/"}
 	r.wireCt = make([]tte.Ciphertext, p.circ.NumWires())
 
 	// Setup: TKGen + client keys.
@@ -171,49 +177,9 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	return &Result{
 		Outputs:  outputs,
 		Report:   p.board.Report(),
-		Excluded: r.excluded,
+		Excluded: r.eng.Excluded,
 		Rounds:   4 + p.circ.Depth(),
 	}, nil
-}
-
-// speakCommittee runs one committee step with per-role honest payloads of
-// ciphertext bundles or partial-decryption bundles; honest closures return
-// the payload together with its wire encoding (the bytes the board meters),
-// and it returns the payloads of roles whose proofs verify.
-func (r *run) speakCommittee(c *yoso.Committee, phase comm.Phase, cat comm.Category, label string,
-	honest func(i int) (any, []byte, error), garbSize int) (map[int]any, error) {
-	verified := map[int]any{}
-	for i := 1; i <= c.N(); i++ {
-		role := c.Role(i)
-		switch role.Behavior {
-		case yoso.FailStop:
-			r.excluded = append(r.excluded, fmt.Sprintf("%s@%s (fail-stop)", role.Name(), label))
-		case yoso.Malicious:
-			role.Post(phase, cat, make([]byte, garbSize), "garbage")
-			proof := r.p.auth.Forge()
-			role.Post(phase, comm.CatProof, proof.Bytes(), proof)
-			if r.p.auth.Verify(r.statement(label, role.Name()), proof) {
-				verified[i] = nil // statistically impossible
-			} else {
-				r.excluded = append(r.excluded, fmt.Sprintf("%s@%s (malicious)", role.Name(), label))
-			}
-		default:
-			payload, wire, err := honest(i)
-			if err != nil {
-				return nil, fmt.Errorf("baseline: %s at %s: %w", role.Name(), label, err)
-			}
-			role.Post(phase, cat, wire, payload)
-			proof := r.p.auth.Attest(r.statement(label, role.Name()))
-			role.Post(phase, comm.CatProof, proof.Bytes(), proof)
-			verified[i] = payload
-		}
-	}
-	c.SpeakAll()
-	return verified, nil
-}
-
-func (r *run) statement(label, name string) []byte {
-	return nizk.NewStatement("baseline/" + label).AddString(name).Bytes()
 }
 
 // offlineBeaver prepares one encrypted Beaver triple per multiplication
@@ -240,24 +206,26 @@ func (r *run) offlineBeaver() error {
 	}
 	ctSize := r.tpk.CiphertextSize()
 
-	aPosts, err := r.speakCommittee(b1, comm.PhaseOffline, comm.CatBeaver, "beaver-a",
-		func(i int) (any, []byte, error) {
+	aPosts, err := r.eng.Run(nil, b1, yoso.Step{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a",
+		Honest: func(i int) (yoso.Msg, error) {
 			cts := make([]tte.Ciphertext, len(muls))
 			var wire []byte
 			for g := range muls {
-				ct, err := te.Encrypt(r.tpk, fieldCoeff(field.MustRandom()), boundP)
+				ct, err := te.Encrypt(r.tpk, field.MustRandom().Big(), field.ModulusBig())
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				cts[g] = ct
 				enc, err := te.EncodeCiphertext(ct)
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				wire = append(wire, enc...)
 			}
-			return cts, wire, nil
-		}, len(muls)*ctSize)
+			return yoso.Msg{Payload: cts, Wire: wire}, nil
+		},
+		Malicious: garbage(len(muls) * ctSize),
+	})
 	if err != nil {
 		return err
 	}
@@ -267,31 +235,33 @@ func (r *run) offlineBeaver() error {
 	}
 
 	type bc struct{ b, c []tte.Ciphertext }
-	bcPosts, err := r.speakCommittee(b2, comm.PhaseOffline, comm.CatBeaver, "beaver-bc",
-		func(i int) (any, []byte, error) {
+	bcPosts, err := r.eng.Run(nil, b2, yoso.Step{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc",
+		Honest: func(i int) (yoso.Msg, error) {
 			out := bc{b: make([]tte.Ciphertext, len(muls)), c: make([]tte.Ciphertext, len(muls))}
 			var wire []byte
 			for g := range muls {
 				bv := field.MustRandom()
-				bct, err := te.Encrypt(r.tpk, fieldCoeff(bv), boundP)
+				bct, err := te.Encrypt(r.tpk, bv.Big(), field.ModulusBig())
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
-				cct, err := te.Eval(r.tpk, []tte.Ciphertext{cA[g]}, []*big.Int{fieldCoeff(bv)})
+				cct, err := te.Eval(r.tpk, []tte.Ciphertext{cA[g]}, []*big.Int{bv.Big()})
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				out.b[g], out.c[g] = bct, cct
 				for _, ct := range []tte.Ciphertext{bct, cct} {
 					enc, err := te.EncodeCiphertext(ct)
 					if err != nil {
-						return nil, nil, err
+						return yoso.Msg{}, err
 					}
 					wire = append(wire, enc...)
 				}
 			}
-			return out, wire, nil
-		}, 2*len(muls)*ctSize)
+			return yoso.Msg{Payload: out, Wire: wire}, nil
+		},
+		Malicious: garbage(2 * len(muls) * ctSize),
+	})
 	if err != nil {
 		return err
 	}
@@ -308,11 +278,11 @@ func (r *run) offlineBeaver() error {
 		if len(bParts) == 0 {
 			return fmt.Errorf("%w: no Beaver b-contributions", ErrNotEnough)
 		}
-		sumB, err := te.Eval(r.tpk, bParts, ones(len(bParts)))
+		sumB, err := te.Eval(r.tpk, bParts, tte.Ones(len(bParts)))
 		if err != nil {
 			return err
 		}
-		sumC, err := te.Eval(r.tpk, cParts, ones(len(cParts)))
+		sumC, err := te.Eval(r.tpk, cParts, tte.Ones(len(cParts)))
 		if err != nil {
 			return err
 		}
@@ -336,21 +306,13 @@ func (r *run) sumPer(posts map[int]any, count int) ([]tte.Ciphertext, error) {
 		if len(parts) == 0 {
 			return nil, fmt.Errorf("%w: position %d", ErrNotEnough, pos)
 		}
-		sum, err := te.Eval(r.tpk, parts, ones(len(parts)))
+		sum, err := te.Eval(r.tpk, parts, tte.Ones(len(parts)))
 		if err != nil {
 			return nil, err
 		}
 		out[pos] = sum
 	}
 	return out, nil
-}
-
-func ones(m int) []*big.Int {
-	out := make([]*big.Int, m)
-	for i := range out {
-		out[i] = big.NewInt(1)
-	}
-	return out
 }
 
 // online evaluates the circuit gate by gate: clients post encrypted
@@ -367,7 +329,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 		var wire []byte
 		cts := make([]tte.Ciphertext, len(inGates))
 		for j := range inGates {
-			ct, err := te.Encrypt(r.tpk, fieldCoeff(inputs[client][j]), boundP)
+			ct, err := te.Encrypt(r.tpk, inputs[client][j].Big(), field.ModulusBig())
 			if err != nil {
 				return nil, err
 			}
@@ -379,9 +341,14 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 			wire = append(wire, enc...)
 		}
 		if len(wire) > 0 {
-			role.Post(comm.PhaseOnline, comm.CatInput, wire, cts)
-			proof := r.p.auth.Attest(r.statement("input", role.Name()))
-			role.Post(comm.PhaseOnline, comm.CatProof, proof.Bytes(), proof)
+			ok, err := r.eng.Speak(role, yoso.Step{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "input",
+				Honest: func(int) (yoso.Msg, error) { return yoso.Msg{Payload: cts, Wire: wire}, nil }})
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				return nil, fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
+			}
 		}
 		for j, gi := range inGates {
 			r.wireCt[gates[gi].Out] = cts[j]
@@ -451,40 +418,40 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 		for _, gi := range layerGates {
 			g := gates[gi]
 			bt := r.beaver[gi]
-			eps, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A], bt.a}, ones(2))
+			eps, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A], bt.a}, tte.Ones(2))
 			if err != nil {
 				return nil, err
 			}
-			del, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.B], bt.b}, ones(2))
+			del, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.B], bt.b}, tte.Ones(2))
 			if err != nil {
 				return nil, err
 			}
 			open = append(open, eps, del)
 		}
 		handoffNext := map[int][]tte.SubShare{}
-		posts, err := r.speakCommittee(c, comm.PhaseOnline, comm.CatPartial, fmt.Sprintf("layer%d", l),
-			func(i int) (any, []byte, error) {
+		posts, err := r.eng.Run(nil, c, yoso.Step{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: fmt.Sprintf("layer%d", l),
+			Honest: func(i int) (yoso.Msg, error) {
 				sh := shares[i-1]
 				if sh == nil {
-					return nil, nil, fmt.Errorf("role %d has no tsk share", i)
+					return yoso.Msg{}, fmt.Errorf("role %d has no tsk share", i)
 				}
 				parts := make([]tte.PartialDec, len(open))
 				var wire []byte
 				for j, ct := range open {
 					part, err := te.PartialDecrypt(r.tpk, sh, ct)
 					if err != nil {
-						return nil, nil, err
+						return yoso.Msg{}, err
 					}
 					parts[j] = part
 					penc, err := te.EncodePartial(part)
 					if err != nil {
-						return nil, nil, err
+						return yoso.Msg{}, err
 					}
 					wire = append(wire, penc...)
 				}
 				subs, err := te.Reshare(r.tpk, sh)
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				// Each subshare travels sealed under the receiving role's
 				// key in the next committee.
@@ -492,20 +459,22 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 				for _, sub := range subs {
 					data, err := te.EncodeSubShare(sub)
 					if err != nil {
-						return nil, nil, err
+						return yoso.Msg{}, err
 					}
 					env, err := seal.Encrypt(next.Role(sub.To()).PublicKey(), data)
 					if err != nil {
-						return nil, nil, err
+						return yoso.Msg{}, err
 					}
 					enc, err := p.PKE.EncodeCiphertext(env)
 					if err != nil {
-						return nil, nil, err
+						return yoso.Msg{}, err
 					}
 					wire = append(wire, enc...)
 				}
-				return partialBundle{parts: parts, subs: subs}, wire, nil
-			}, 2*len(layerGates)*r.tpk.CiphertextSize()+p.N*(r.tpk.CiphertextSize()+60))
+				return yoso.Msg{Payload: partialBundle{parts: parts, subs: subs}, Wire: wire}, nil
+			},
+			Malicious: garbage(2*len(layerGates)*r.tpk.CiphertextSize() + p.N*(r.tpk.CiphertextSize()+60)),
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -524,7 +493,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 			// c^xy = ε·c^y + (p−δ)·c^a + c^c.
 			out, err := te.Eval(r.tpk,
 				[]tte.Ciphertext{r.wireCt[g.B], bt.a, bt.c},
-				[]*big.Int{fieldCoeff(eps), fieldCoeff(del.Neg()), big.NewInt(1)})
+				[]*big.Int{eps.Big(), del.Neg().Big(), big.NewInt(1)})
 			if err != nil {
 				return nil, err
 			}
@@ -625,7 +594,7 @@ func (r *run) propagateLinear() error {
 		switch g.Kind {
 		case circuit.KindConst:
 			// Anyone can encrypt a public constant under tpk.
-			ct, err := te.Encrypt(r.tpk, fieldCoeff(g.Const), boundP)
+			ct, err := te.Encrypt(r.tpk, g.Const.Big(), field.ModulusBig())
 			if err != nil {
 				return err
 			}
@@ -634,7 +603,7 @@ func (r *run) propagateLinear() error {
 			if r.wireCt[g.A] == nil || r.wireCt[g.B] == nil {
 				continue
 			}
-			ct, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A], r.wireCt[g.B]}, ones(2))
+			ct, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A], r.wireCt[g.B]}, tte.Ones(2))
 			if err != nil {
 				return err
 			}
@@ -653,7 +622,7 @@ func (r *run) propagateLinear() error {
 			if r.wireCt[g.A] == nil {
 				continue
 			}
-			ct, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A]}, []*big.Int{fieldCoeff(g.Const)})
+			ct, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A]}, []*big.Int{g.Const.Big()})
 			if err != nil {
 				return err
 			}
@@ -679,11 +648,11 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 			outs = append(outs, outGate{gi: gi, client: client, wire: gates[gi].A})
 		}
 	}
-	posts, err := r.speakCommittee(outC, comm.PhaseOnline, comm.CatOutput, "output",
-		func(i int) (any, []byte, error) {
+	posts, err := r.eng.Run(nil, outC, yoso.Step{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output",
+		Honest: func(i int) (yoso.Msg, error) {
 			sh := shares[i-1]
 			if sh == nil {
-				return nil, nil, fmt.Errorf("role %d has no tsk share", i)
+				return yoso.Msg{}, fmt.Errorf("role %d has no tsk share", i)
 			}
 			envs := make(map[int]pke.Ciphertext, len(outs))
 			var wire []byte
@@ -691,25 +660,27 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 			for _, og := range outs {
 				part, err := te.PartialDecrypt(r.tpk, sh, r.wireCt[og.wire])
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				data, err := te.EncodePartial(part)
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				env, err := seal.Encrypt(r.clients[og.client].PublicKey(), data)
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				envs[og.gi] = env
 				enc, err := p.PKE.EncodeCiphertext(env)
 				if err != nil {
-					return nil, nil, err
+					return yoso.Msg{}, err
 				}
 				wire = append(wire, enc...)
 			}
-			return envs, wire, nil
-		}, len(outs)*(r.tpk.CiphertextSize()+60))
+			return yoso.Msg{Payload: envs, Wire: wire}, nil
+		},
+		Malicious: garbage(len(outs) * (r.tpk.CiphertextSize() + 60)),
+	})
 	if err != nil {
 		return nil, err
 	}

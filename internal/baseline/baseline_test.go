@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"yosompc/internal/circuit"
@@ -195,5 +197,35 @@ func TestRoundsAccounting(t *testing.T) {
 	res := runAndCompare(t, simParams(5, 2, nil), circ, in)
 	if res.Rounds != 7 {
 		t.Errorf("rounds = %d, want 7 for depth 3", res.Rounds)
+	}
+}
+
+// TestMixedAdversaryExclusions pins the exclusion record of a run with
+// both malicious and fail-stop members per committee: every corrupt role
+// of every step appears once, labelled by its behavior, and two runs meter
+// identical bytes even though members speak concurrently.
+func TestMixedAdversaryExclusions(t *testing.T) {
+	circ, err := circuit.InnerProduct(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5, 6}})
+	run := func() *Result {
+		return runAndCompare(t, simParams(7, 2, yoso.NewAdversary(1, 1, 41)), circ, in)
+	}
+	first, second := run(), run()
+	got := append([]string(nil), first.Excluded...)
+	sort.Strings(got)
+	want := []string{
+		"bLayer1/3@layer1 (malicious)", "bLayer1/7@layer1 (fail-stop)",
+		"bOff1/5@beaver-a (malicious)", "bOff1/7@beaver-a (fail-stop)",
+		"bOff2/1@beaver-bc (malicious)", "bOff2/3@beaver-bc (fail-stop)",
+		"bOut/4@output (fail-stop)", "bOut/6@output (malicious)",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("excluded = %q, want %q", got, want)
+	}
+	if !reflect.DeepEqual(first.Report, second.Report) {
+		t.Errorf("reports differ across runs:\n%+v\n%+v", first.Report, second.Report)
 	}
 }

@@ -643,11 +643,15 @@ func TestLeakyRolesParticipate(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5, 6}})
-	adv := &yoso.Adversary{Malicious: 1, Leaky: 2, Seed: 67}
-	res := runAndCompare(t, simParams(10, 3, 2, adv), circ, in)
-	for _, ex := range res.Excluded {
-		if strings.Contains(ex, "leaky") {
-			t.Errorf("leaky role excluded: %s", ex)
+	proofs := simParams(10, 3, 2, &yoso.Adversary{Malicious: 1, Leaky: 2, Seed: 67})
+	robust := simParams(14, 3, 2, &yoso.Adversary{Malicious: 1, Leaky: 2, Seed: 67})
+	robust.Robust = true
+	for name, params := range map[string]Params{"proofs": proofs, "robust": robust} {
+		res := runAndCompare(t, params, circ, in)
+		for _, ex := range res.Excluded {
+			if strings.Contains(ex, "leaky") {
+				t.Errorf("%s: leaky role excluded: %s", name, ex)
+			}
 		}
 	}
 }

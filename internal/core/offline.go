@@ -181,9 +181,9 @@ func (r *run) offlineBeaver() error {
 		func(i int) (sized, error) {
 			ms := make([]*big.Int, len(muls))
 			for g := range muls {
-				ms[g] = fieldCoeff(field.MustRandom())
+				ms[g] = field.MustRandom().Big()
 			}
-			cts, err := tte.EncryptAll(te, r.tpk, ms, boundP, r.workers())
+			cts, err := tte.EncryptAll(te, r.tpk, ms, field.ModulusBig(), r.workers())
 			if err != nil {
 				return nil, err
 			}
@@ -205,9 +205,9 @@ func (r *run) offlineBeaver() error {
 		func(i int) (sized, error) {
 			ms := make([]*big.Int, len(muls))
 			for g := range muls {
-				ms[g] = fieldCoeff(field.MustRandom())
+				ms[g] = field.MustRandom().Big()
 			}
-			bs, err := tte.EncryptAll(te, r.tpk, ms, boundP, r.workers())
+			bs, err := tte.EncryptAll(te, r.tpk, ms, field.ModulusBig(), r.workers())
 			if err != nil {
 				return nil, err
 			}
@@ -243,11 +243,11 @@ func (r *run) offlineBeaver() error {
 		if len(bParts) == 0 {
 			return fmt.Errorf("%w: no valid Beaver b-contributions", ErrNotEnough)
 		}
-		sumB, err := te.Eval(r.tpk, bParts, onesVec(len(bParts)))
+		sumB, err := te.Eval(r.tpk, bParts, tte.Ones(len(bParts)))
 		if err != nil {
 			return err
 		}
-		sumC, err := te.Eval(r.tpk, cParts, onesVec(len(cParts)))
+		sumC, err := te.Eval(r.tpk, cParts, tte.Ones(len(cParts)))
 		if err != nil {
 			return err
 		}
@@ -295,7 +295,7 @@ func (r *run) sumContributions(posts map[int]any, count int) ([]tte.Ciphertext, 
 		if len(parts) == 0 {
 			return fmt.Errorf("%w: no valid contributions at position %d", ErrNotEnough, pos)
 		}
-		sum, err := te.Eval(r.tpk, parts, onesVec(len(parts)))
+		sum, err := te.Eval(r.tpk, parts, tte.Ones(len(parts)))
 		if err != nil {
 			return err
 		}
@@ -330,9 +330,9 @@ func (r *run) offlineWireRandomness() error {
 		func(i int) (sized, error) {
 			ms := make([]*big.Int, total)
 			for j := range ms {
-				ms[j] = fieldCoeff(field.MustRandom())
+				ms[j] = field.MustRandom().Big()
 			}
-			cts, err := tte.EncryptAll(te, r.tpk, ms, boundP, r.workers())
+			cts, err := tte.EncryptAll(te, r.tpk, ms, field.ModulusBig(), r.workers())
 			if err != nil {
 				return nil, err
 			}
@@ -402,7 +402,7 @@ func (r *run) offlineDependentWires() error {
 			r.wireCt[g.Out] = ct
 		case circuit.KindConstMul:
 			ct, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A]},
-				[]*big.Int{fieldCoeff(g.Const)})
+				[]*big.Int{g.Const.Big()})
 			if err != nil {
 				return err
 			}
@@ -424,11 +424,11 @@ func (r *run) offlineDependentWires() error {
 		gi := muls[m]
 		g := gates[gi]
 		bt := r.beaver[gi]
-		eps, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A], bt.a}, onesVec(2))
+		eps, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.A], bt.a}, tte.Ones(2))
 		if err != nil {
 			return err
 		}
-		del, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.B], bt.b}, onesVec(2))
+		del, err := te.Eval(r.tpk, []tte.Ciphertext{r.wireCt[g.B], bt.b}, tte.Ones(2))
 		if err != nil {
 			return err
 		}
@@ -456,7 +456,7 @@ func (r *run) offlineDependentWires() error {
 		r.p.audit.Record(comm.PhaseOffline, ValBeaverOpen, KeyTPK)
 		gamma, err := te.Eval(r.tpk,
 			[]tte.Ciphertext{r.wireCt[g.B], bt.a, bt.c, r.wireCt[g.Out]},
-			[]*big.Int{fieldCoeff(eps), fieldCoeff(del.Neg()), big.NewInt(1), pm1})
+			[]*big.Int{eps.Big(), del.Neg().Big(), big.NewInt(1), pm1})
 		if err != nil {
 			return err
 		}
@@ -716,7 +716,7 @@ func (r *run) offlinePack() error {
 				row := rowAt(i)
 				coeffs := make([]*big.Int, len(points))
 				for j := range coeffs {
-					coeffs[j] = fieldCoeff(row[j])
+					coeffs[j] = row[j].Big()
 				}
 				ct, err := te.Eval(r.tpk, points, coeffs)
 				if err != nil {

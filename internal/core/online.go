@@ -693,13 +693,13 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			lambda := reduceToField(lambdaInt)
 			mus[j] = inputs[client][j].Sub(lambda)
 		}
-		post, err := r.speak(cs.role, comm.PhaseOnline, comm.CatInput, "client-input",
-			func() (sized, error) { return muBundle{vals: mus}, nil },
-			func() sized { return garbage{size: len(mus) * field.ElementSize} })
+		ok, err := r.eng.Speak(cs.role, r.stepOf(comm.PhaseOnline, comm.CatInput, "client-input",
+			func(int) (sized, error) { return muBundle{vals: mus}, nil },
+			func(int) sized { return garbage{size: len(mus) * field.ElementSize} }))
 		if err != nil {
 			return err
 		}
-		if !r.valid(cs.role, "client-input", post) {
+		if !ok {
 			// A silent/cheating client falls back to the default input 0
 			// (the ideal functionality's default); μ = −λ would require
 			// opening λ publicly, which the driver models by excluding
@@ -839,41 +839,28 @@ func (r *run) onlineLayer(l int) error {
 		return muBundle{vals: vals}, nil
 	}
 
+	// The Robust (§5.3 IT-GOD) path posts bare shares without proofs:
+	// malicious members post uniformly random lies (type-correct —
+	// anything else would be trivially discardable) and Berlekamp–Welch
+	// decodes up to t of them out.
+	malicious := func(int) sized { return garbage{size: len(layerBatches) * field.ElementSize} }
 	if p.Robust {
-		// IT-GOD path (§5.3 alternative): bare shares, no proofs;
-		// Berlekamp–Welch decodes up to t lies out.
-		posts := r.layerStepRobust(c, l, computeShares, len(layerBatches))
-		for bi, b := range layerBatches {
-			var shares []sharing.Share
-			for i := 1; i <= c.N(); i++ {
-				raw, ok := posts[i]
-				if !ok {
-					continue
-				}
-				shares = append(shares, sharing.Share{Index: i, Value: raw.(muBundle).vals[bi]})
+		malicious = func(int) sized {
+			lies := make([]field.Element, len(layerBatches))
+			for j := range lies {
+				lies[j] = field.MustRandom()
 			}
-			degree := p.T + 2*(b.k-1)
-			muGamma, err := sharing.ReconstructRobust(shares, degree, b.k, p.T)
-			if err != nil {
-				return fmt.Errorf("batch %d (robust): %w", bi, err)
-			}
-			for j, gi := range b.Gates {
-				w := gates[gi].Out
-				r.mu[w] = muGamma[j]
-				r.muKnown[w] = true
-			}
+			return muBundle{vals: lies}
 		}
-		return nil
 	}
-
-	posts, err := r.committeeStep(c, comm.PhaseOnline, comm.CatMu, fmt.Sprintf("mu-layer%d", l+1),
-		computeShares,
-		func(i int) sized { return garbage{size: len(layerBatches) * field.ElementSize} })
+	step := r.stepOf(comm.PhaseOnline, comm.CatMu, fmt.Sprintf("mu-layer%d", l+1), computeShares, malicious)
+	step.NoProofs = p.Robust
+	posts, err := r.eng.Run(r.stepParent(), c, step)
 	if err != nil {
 		return err
 	}
 
-	// Reconstruct μ^γ per batch from verified shares.
+	// Reconstruct μ^γ per batch from the accepted shares.
 	for bi, b := range layerBatches {
 		bsp := r.stepSpan("reconstruct-batch")
 		bsp.SetInt("batch", int64(bi))
@@ -887,7 +874,12 @@ func (r *run) onlineLayer(l int) error {
 			shares = append(shares, sharing.Share{Index: i, Value: raw.(muBundle).vals[bi]})
 		}
 		degree := p.T + 2*(b.k-1)
-		muGamma, err := reconstructShares(shares, degree, b.k)
+		var muGamma []field.Element
+		if p.Robust {
+			muGamma, err = sharing.ReconstructRobust(shares, degree, b.k, p.T)
+		} else {
+			muGamma, err = reconstructShares(shares, degree, b.k)
+		}
 		bsp.End()
 		if err != nil {
 			return fmt.Errorf("batch %d: %w", bi, err)
@@ -899,68 +891,6 @@ func (r *run) onlineLayer(l int) error {
 		}
 	}
 	return nil
-}
-
-// layerStepRobust runs a μ layer without proofs: honest roles post their
-// shares, malicious roles post uniformly random lies (type-correct —
-// anything else would be trivially discardable), fail-stop roles post
-// nothing. All posted bundles are returned; decoding sorts them out.
-func (r *run) layerStepRobust(c *yoso.Committee, l int,
-	honest func(i int) (sized, error), nBatches int) map[int]any {
-	type outcome struct {
-		payload sized
-		ok      bool
-	}
-	results := make([]outcome, c.N())
-	// Members run on the worker pool; results stay slot-indexed. Honest
-	// errors are swallowed (treated as crashes), so the fan-out itself
-	// never fails.
-	_ = r.pfor(c.N(), func(idx0 int) error {
-		idx := idx0 + 1
-		role := c.Role(idx)
-		switch role.Behavior {
-		case yoso.FailStop:
-			return nil
-		case yoso.Malicious:
-			lies := make([]field.Element, nBatches)
-			for j := range lies {
-				lies[j] = field.MustRandom()
-			}
-			payload := muBundle{vals: lies}
-			enc, err := encodePost(&r.p.params, payload)
-			if err != nil {
-				return nil // treated as a crash; decoding tolerates it
-			}
-			role.Post(comm.PhaseOnline, comm.CatMu, enc, payload)
-			results[idx-1] = outcome{payload: payload, ok: true}
-		default:
-			payload, err := honest(idx)
-			if err != nil {
-				return nil // treated as a crash; decoding tolerates it
-			}
-			enc, err := encodePost(&r.p.params, payload)
-			if err != nil {
-				return nil
-			}
-			role.Post(comm.PhaseOnline, comm.CatMu, enc, payload)
-			results[idx-1] = outcome{payload: payload, ok: true}
-		}
-		return nil
-	})
-	posts := make(map[int]any, c.N())
-	for idx1, res := range results {
-		if res.ok {
-			posts[idx1+1] = res.payload
-		}
-	}
-	for i := 1; i <= c.N(); i++ {
-		role := c.Role(i)
-		if role.Behavior != yoso.Honest {
-			r.excluded = append(r.excluded, fmt.Sprintf("%s@mu-layer%d (%s)", role.Name(), l+1, role.Behavior))
-		}
-	}
-	c.SpeakAll()
-	return posts
 }
 
 // outputPayload is OnOut's broadcast: Re-encrypt* envelopes of output-wire

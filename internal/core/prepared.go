@@ -8,6 +8,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
+	"yosompc/internal/yoso"
 )
 
 // The offline/online split is the deployment story of the paper: the
@@ -42,6 +43,7 @@ func (p *Protocol) Prepare() (*Prepared, error) {
 func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
 	r := &run{p: p, ctx: ctx}
 	r.initTelemetry()
+	r.eng = yoso.Engine{Board: p.board, Auth: p.auth, Ctx: ctx, Workers: r.workers(), Obs: r.obs, Log: r.logSpan}
 	r.beginPhase("setup")
 	r.logStep("setup phase starting", "n", p.params.N, "t", p.params.T, "k", p.params.K)
 	if err := r.setup(); err != nil {
@@ -96,7 +98,7 @@ func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 	return &Result{
 		Outputs:  outputs,
 		Report:   p.board.Report(),
-		Excluded: pp.r.excluded,
+		Excluded: pp.r.eng.Excluded,
 		Audit:    p.audit.Events(),
 		Rounds:   9 + p.circ.Depth(),
 	}, nil

@@ -179,8 +179,8 @@ type run struct {
 	mu      []field.Element
 	muKnown []bool
 
-	// bookkeeping
-	excluded []string
+	// eng runs every speaking step and records the excluded roles.
+	eng yoso.Engine
 
 	// telemetry (all nil when disabled — every use is a nil-receiver
 	// no-op, so the hot paths stay allocation-free without branching)
@@ -206,16 +206,9 @@ type kffEntry struct {
 
 // --- shared helpers ---------------------------------------------------
 
-// rolePost is one role's step contribution as read back from the board:
-// the payload and the attached proof. Fail-stop roles never produce one.
-type rolePost struct {
-	payload any
-	proof   nizk.Proof
-}
-
 // sized is implemented by step payloads: wireSize is the modelled encoded
 // length (the costmodel anchor) and encodeWire produces the actual bytes
-// that go on the board. speak cross-checks the two per message, so the
+// that go on the board. stepOf cross-checks the two per message, so the
 // self-reported accounting can never drift from what really travels.
 type sized interface {
 	wireSize() int
@@ -251,42 +244,6 @@ func appendEnvelopes(p *Params, dst []byte, envs []envelope) ([]byte, error) {
 		dst = append(dst, enc...)
 	}
 	return dst, nil
-}
-
-// speak executes one role's speaking step. Honest roles compute their
-// payload with `honest` and attach an attested proof; malicious roles post
-// the payload from `malicious` (type-correct garbage) with a forged proof;
-// fail-stop roles post nothing. The returned pointer is nil when nothing
-// reached the board.
-func (r *run) speak(role *yoso.Role, phase comm.Phase, cat comm.Category, label string,
-	honest func() (sized, error), malicious func() sized) (*rolePost, error) {
-	switch role.Behavior {
-	case yoso.FailStop:
-		return nil, nil
-	case yoso.Malicious:
-		payload := malicious()
-		enc, err := encodePost(&r.p.params, payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s at %s: %w", role.Name(), label, err)
-		}
-		proof := r.p.auth.Forge()
-		role.Post(phase, cat, enc, payload)
-		role.Post(phase, comm.CatProof, proof.Bytes(), proof)
-		return &rolePost{payload: payload, proof: proof}, nil
-	default:
-		payload, err := honest()
-		if err != nil {
-			return nil, fmt.Errorf("core: %s at %s: %w", role.Name(), label, err)
-		}
-		enc, err := encodePost(&r.p.params, payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s at %s: %w", role.Name(), label, err)
-		}
-		proof := r.p.auth.Attest(r.statement(label, role.Name()))
-		role.Post(phase, cat, enc, payload)
-		role.Post(phase, comm.CatProof, proof.Bytes(), proof)
-		return &rolePost{payload: payload, proof: proof}, nil
-	}
 }
 
 // logStep emits a structured progress event when a logger is configured.
@@ -354,11 +311,15 @@ func (r *run) endPhase() {
 
 // stepSpan opens a span under the current phase (or the run root outside
 // any phase). Nil — and allocation-free — when tracing is disabled.
-func (r *run) stepSpan(name string) *telemetry.Span {
+func (r *run) stepSpan(name string) *telemetry.Span { return r.stepParent().Child(name) }
+
+// stepParent is the span steps child from: the open phase, else the run
+// root.
+func (r *run) stepParent() *telemetry.Span {
 	if r.phaseSp != nil {
-		return r.phaseSp.Child(name)
+		return r.phaseSp
 	}
-	return r.rootSp.Child(name)
+	return r.rootSp
 }
 
 // pfor fans fn over the run's worker pool, feeding per-task events to
@@ -367,103 +328,40 @@ func (r *run) pfor(n int, fn func(i int) error) error {
 	return parallel.ForObserved(r.ctx, r.workers(), n, fn, r.obs)
 }
 
-func (r *run) statement(label, roleName string) []byte {
-	return nizk.NewStatement(label).AddString(roleName).Bytes()
-}
-
-// valid reports whether a role's posted proof verifies for the step.
-func (r *run) valid(role *yoso.Role, label string, post *rolePost) bool {
-	if post == nil {
-		return false
-	}
-	return r.p.auth.Verify(r.statement(label, role.Name()), post.proof)
-}
-
 // workers resolves the run's worker-pool size (see Params.Workers).
 func (r *run) workers() int { return r.p.params.EffectiveWorkers() }
 
-// committeeStep runs `speak` for every member of a committee and returns
-// the map of verified posts (index → payload). Members whose proofs fail or
-// who never spoke are recorded in r.excluded. After the step the committee
-// receives the Spoke token.
-//
-// Members execute on the run's worker pool — they are independent machines,
-// and the per-role work (threshold exponentiations, envelope encryptions)
-// dominates real-backend wall clock. The first member error cancels the
-// remaining members and aborts the step. The board serializes postings
-// internally; results stay slot-indexed, so the verified/excluded
-// bookkeeping (joined after all members finish, in member order) and the
-// metered byte counts are independent of the worker count.
+// stepOf builds an engine step from core's payloads: each message goes
+// on the board as its encodePost bytes, so a codec/costmodel mismatch
+// fails the speaker.
+func (r *run) stepOf(phase comm.Phase, cat comm.Category, label string,
+	honest func(i int) (sized, error), malicious func(i int) sized) yoso.Step {
+	encode := func(payload sized) (yoso.Msg, error) {
+		enc, err := encodePost(&r.p.params, payload)
+		return yoso.Msg{Payload: payload, Wire: enc}, err
+	}
+	return yoso.Step{
+		Phase: phase,
+		Cat:   cat,
+		Label: label,
+		Honest: func(i int) (yoso.Msg, error) {
+			payload, err := honest(i)
+			if err != nil {
+				return yoso.Msg{}, err
+			}
+			return encode(payload)
+		},
+		Malicious: func(i int) (yoso.Msg, error) { return encode(malicious(i)) },
+	}
+}
+
+// committeeStep runs one proof-carrying committee step on the run's
+// engine and returns the verified payloads by member index; excluded
+// members land in the engine's record.
 func (r *run) committeeStep(c *yoso.Committee, phase comm.Phase, cat comm.Category, label string,
 	honest func(i int) (sized, error), malicious func(i int) sized) (map[int]any, error) {
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", label, err)
-		}
-	}
-	sp := r.stepSpan("committee:" + label)
-	sp.SetStr("committee", c.Name)
-	sp.SetInt("members", int64(c.N()))
-	// Committee steps run sequentially, so stamping the step span for the
-	// duration attributes every member posting to it; the phase span
-	// resumes when the step ends.
-	r.p.board.SetTraceSpan(sp.ID())
-	defer func() { r.p.board.SetTraceSpan(r.phaseSp.ID()) }()
-	results := make([]*rolePost, c.N())
-	err := parallel.ForWorker(r.ctx, r.workers(), c.N(), func(worker, idx0 int) error {
-		msp := sp.Child("member")
-		msp.SetInt("index", int64(idx0+1))
-		msp.SetWorker(worker)
-		idx := idx0 + 1
-		post, err := r.speak(c.Role(idx), phase, cat, label,
-			func() (sized, error) { return honest(idx) },
-			func() sized { return malicious(idx) })
-		msp.End()
-		if err != nil {
-			return err
-		}
-		results[idx0] = post
-		return nil
-	}, r.obs)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	verified := make(map[int]any, c.N())
-	for idx1, post := range results {
-		idx := idx1 + 1
-		role := c.Role(idx)
-		if r.valid(role, label, post) {
-			verified[idx] = post.payload
-		} else {
-			r.excluded = append(r.excluded, fmt.Sprintf("%s@%s (%s)", role.Name(), label, role.Behavior))
-			r.logSpan(sp, "role excluded", "role", role.Name(), "step", label, "behavior", role.Behavior.String())
-		}
-	}
-	c.SpeakAll()
-	sp.SetInt("verified", int64(len(verified)))
-	sp.End()
-	r.logSpan(sp, "committee spoke", "committee", c.Name, "step", label,
-		"verified", len(verified), "of", c.N())
-	return verified, nil
+	return r.eng.Run(r.stepParent(), c, r.stepOf(phase, cat, label, honest, malicious))
 }
-
-// onesVec returns a slice of m big.Int ones — the (1)^|S| coefficient
-// vector of TEval sums.
-func onesVec(m int) []*big.Int {
-	out := make([]*big.Int, m)
-	for i := range out {
-		out[i] = big.NewInt(1)
-	}
-	return out
-}
-
-// fieldCoeff lifts a field element to the non-negative integer coefficient
-// TEval expects.
-func fieldCoeff(e field.Element) *big.Int { return new(big.Int).SetUint64(e.Uint64()) }
-
-// boundP is the public bound on a single field-element plaintext.
-var boundP = new(big.Int).SetUint64(field.Modulus)
 
 // reduceToField maps a decrypted integer to the MPC field.
 func reduceToField(v *big.Int) field.Element { return field.FromBig(v) }

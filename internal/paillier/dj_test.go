@@ -112,28 +112,6 @@ func TestDJScalarMulNegative(t *testing.T) {
 	}
 }
 
-func TestDJRerandomize(t *testing.T) {
-	k := djKey(t, 2)
-	c, err := k.Encrypt(rand.Reader, big.NewInt(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := k.Rerandomize(rand.Reader, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.C.Cmp(c.C) == 0 {
-		t.Error("rerandomization did not change ciphertext")
-	}
-	got, err := k.Decrypt(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(55)) != 0 {
-		t.Errorf("rerandomized decrypts to %v", got)
-	}
-}
-
 func TestDJValidation(t *testing.T) {
 	if _, err := NewDJKey(FixedTestKey(1), 0); err == nil {
 		t.Error("accepted s=0")

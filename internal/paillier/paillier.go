@@ -261,36 +261,6 @@ func (pk *PublicKey) ScalarMul(a *Ciphertext, s *big.Int) *Ciphertext {
 	return &Ciphertext{C: c}
 }
 
-// AddPlain returns a ciphertext encrypting m_a + s for public s.
-func (pk *PublicKey) AddPlain(a *Ciphertext, s *big.Int) *Ciphertext {
-	gs := new(big.Int).Mod(s, pk.N)
-	gs.Mul(gs, pk.N)
-	gs.Add(gs, one)
-	gs.Mod(gs, pk.N2)
-	c := gs.Mul(gs, a.C)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}
-}
-
-// EncryptZero returns a fresh encryption of 0, used for rerandomization.
-func (pk *PublicKey) EncryptZero(random io.Reader) (*Ciphertext, error) {
-	return pk.Encrypt(random, big.NewInt(0))
-}
-
-// Rerandomize multiplies c by a fresh encryption of zero.
-func (pk *PublicKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, error) {
-	z, err := pk.EncryptZero(random)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(c, z), nil
-}
-
-// Clone returns a deep copy of the ciphertext.
-func (c *Ciphertext) Clone() *Ciphertext {
-	return &Ciphertext{C: new(big.Int).Set(c.C)}
-}
-
 // Bytes returns the minimal big-endian encoding of the ciphertext value.
 func (c *Ciphertext) Bytes() []byte { return c.C.Bytes() }
 

@@ -102,43 +102,6 @@ func TestScalarMulNegative(t *testing.T) {
 	}
 }
 
-func TestAddPlain(t *testing.T) {
-	sk := testKey(t)
-	c, err := sk.Encrypt(rand.Reader, big.NewInt(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Decrypt(sk.PublicKey.AddPlain(c, big.NewInt(23)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(123)) != 0 {
-		t.Errorf("Enc(100)+23 = %v, want 123", got)
-	}
-}
-
-func TestRerandomizePreservesPlaintext(t *testing.T) {
-	sk := testKey(t)
-	c, err := sk.Encrypt(rand.Reader, big.NewInt(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sk.PublicKey.Rerandomize(rand.Reader, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.C.Cmp(c.C) == 0 {
-		t.Error("rerandomization did not change ciphertext")
-	}
-	got, err := sk.Decrypt(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(55)) != 0 {
-		t.Errorf("rerandomized decrypts to %v, want 55", got)
-	}
-}
-
 func TestCiphertextsProbabilistic(t *testing.T) {
 	sk := testKey(t)
 	m := big.NewInt(42)

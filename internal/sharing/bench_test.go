@@ -1,7 +1,6 @@
 package sharing
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -62,25 +61,6 @@ func BenchmarkReconstructPacked(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ReconstructPackedNaive(shares, s.d, s.k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkShareManyPacked(b *testing.B) {
-	const batch = 32
-	s := benchSizes[1]
-	secretsBatch := make([][]field.Element, batch)
-	for i := range secretsBatch {
-		secretsBatch[i] = field.MustRandomVec(s.k)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ShareManyPacked(context.Background(), secretsBatch, s.d, s.n, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

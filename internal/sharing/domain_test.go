@@ -1,9 +1,7 @@
 package sharing
 
 import (
-	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 
@@ -309,78 +307,4 @@ func TestDomainCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestShareManyPacked checks the batch sharing API: every entry
-// reconstructs to its secrets (via the independent naive path), for the
-// serial and parallel worker configurations, and parameter errors carry
-// the batch index.
-func TestShareManyPacked(t *testing.T) {
-	batch := [][]field.Element{
-		field.MustRandomVec(2),
-		field.MustRandomVec(4),
-		field.MustRandomVec(1),
-		field.MustRandomVec(4),
-	}
-	for _, workers := range []int{1, 4} {
-		out, err := ShareManyPacked(context.Background(), batch, 7, 16, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(out) != len(batch) {
-			t.Fatalf("workers=%d: %d sharings, want %d", workers, len(out), len(batch))
-		}
-		for b, shares := range out {
-			got, err := ReconstructPackedNaive(shares, 7, len(batch[b]))
-			if err != nil {
-				t.Fatalf("workers=%d entry %d: %v", workers, b, err)
-			}
-			if !field.EqualVec(got, batch[b]) {
-				t.Fatalf("workers=%d entry %d: round trip mismatch", workers, b)
-			}
-		}
-	}
-	if out, err := ShareManyPacked(context.Background(), nil, 7, 16, 4); err != nil || out != nil {
-		t.Fatalf("empty batch: (%v, %v)", out, err)
-	}
-	_, err := ShareManyPacked(context.Background(), [][]field.Element{field.MustRandomVec(1), field.MustRandomVec(9)}, 7, 16, 4)
-	if err == nil || !strings.Contains(err.Error(), "entry 1") {
-		t.Fatalf("oversized entry: %v, want batch-indexed parameter error", err)
-	}
-}
-
-// TestReconstructManyPacked checks the batch reconstruction API against
-// per-entry ReconstructPacked and batch-indexed error propagation.
-func TestReconstructManyPacked(t *testing.T) {
-	const d, k, n = 5, 3, 8
-	batch := make([][]Share, 6)
-	secrets := make([][]field.Element, len(batch))
-	for b := range batch {
-		secrets[b] = field.MustRandomVec(k)
-		shares, err := SharePacked(secrets[b], d, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch[b] = shares
-	}
-	for _, workers := range []int{1, 3} {
-		out, err := ReconstructManyPacked(context.Background(), batch, d, k, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for b := range batch {
-			if !field.EqualVec(out[b], secrets[b]) {
-				t.Fatalf("workers=%d entry %d: got %v, want %v", workers, b, out[b], secrets[b])
-			}
-		}
-	}
-	// Corrupt one entry: the error must identify it and wrap the sentinel.
-	batch[4][n-1].Value = batch[4][n-1].Value.Add(field.One)
-	_, err := ReconstructManyPacked(context.Background(), batch, d, k, 1)
-	if !errors.Is(err, ErrInconsistentShares) || !strings.Contains(err.Error(), "entry 4") {
-		t.Fatalf("corrupted batch entry: %v", err)
-	}
-	if out, err := ReconstructManyPacked(context.Background(), nil, d, k, 2); err != nil || out != nil {
-		t.Fatalf("empty batch: (%v, %v)", out, err)
-	}
 }

@@ -58,17 +58,6 @@ func FuzzShamirRoundTrip(f *testing.F) {
 		}
 		assertSecrets(t, secrets, got, "minimal share subset")
 
-		// Standard Shamir is the k=1 packed case.
-		if k == 1 {
-			secret, err := ReconstructStandard(shares, d)
-			if err != nil {
-				t.Fatalf("ReconstructStandard: %v", err)
-			}
-			if secret != secrets[0] {
-				t.Fatalf("standard reconstruction = %v, want %v", secret, secrets[0])
-			}
-		}
-
 		// With redundant shares present, corrupting one must be detected.
 		if n > d+1 {
 			tampered := make([]Share, n)

@@ -153,12 +153,6 @@ func sharePackedNaiveWith(secrets, rnd []field.Element, d, n int) ([]Share, erro
 	return shares, nil
 }
 
-// ShareStandard produces a degree-d standard Shamir sharing of one secret
-// (stored at x = 0) for parties 1..n.
-func ShareStandard(secret field.Element, d, n int) ([]Share, error) {
-	return SharePacked([]field.Element{secret}, d, n)
-}
-
 // randomPolynomialThrough returns the unique polynomial of degree ≤ d
 // passing through (SlotPoint(j), secrets[j]) for each j and through the
 // injected randomness rnd at the auxiliary points x = 1, 2, ... (which
@@ -286,15 +280,6 @@ func ReconstructPackedNaive(shares []Share, d, k int) ([]field.Element, error) {
 	return secrets, nil
 }
 
-// ReconstructStandard recovers a single secret from a degree-d sharing.
-func ReconstructStandard(shares []Share, d int) (field.Element, error) {
-	secrets, err := ReconstructPacked(shares, d, 1)
-	if err != nil {
-		return field.Zero, err
-	}
-	return secrets[0], nil
-}
-
 // ConstantPacked returns the degree-(k-1) packed sharing of a public vector c:
 // the unique polynomial of degree k-1 through the slots. Every party can
 // compute its own share locally — this is the multiplication-friendliness
@@ -345,38 +330,6 @@ func constantPackedShareNaive(c []field.Element, index int) (Share, error) {
 	return Share{Index: index, Value: v}, nil
 }
 
-// AddShares returns the share-wise sum of two sharings held by the same
-// party set — the linear homomorphism [[x+y]]_d = [[x]]_d + [[y]]_d.
-func AddShares(a, b []Share) ([]Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("sharing: add: %d vs %d shares", len(a), len(b))
-	}
-	out := make([]Share, len(a))
-	for i := range a {
-		if a[i].Index != b[i].Index {
-			return nil, fmt.Errorf("sharing: add: index mismatch at %d: %d vs %d", i, a[i].Index, b[i].Index)
-		}
-		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Add(b[i].Value)}
-	}
-	return out, nil
-}
-
-// MulShares returns the share-wise product — the degree-additive
-// multiplication [[x*y]]_{d1+d2} = [[x]]_{d1} * [[y]]_{d2}.
-func MulShares(a, b []Share) ([]Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("sharing: mul: %d vs %d shares", len(a), len(b))
-	}
-	out := make([]Share, len(a))
-	for i := range a {
-		if a[i].Index != b[i].Index {
-			return nil, fmt.Errorf("sharing: mul: index mismatch at %d: %d vs %d", i, a[i].Index, b[i].Index)
-		}
-		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Mul(b[i].Value)}
-	}
-	return out, nil
-}
-
 // PackingLagrangeCoeffs returns, for each target share index i in 1..n, the
 // coefficient vector applied to the points
 //
@@ -418,12 +371,4 @@ func PackingLagrangeCoeffs(k, t, n int) ([][]field.Element, error) {
 		return nil, err
 	}
 	return poly.EvalRowsFromWeights(xs, ws, ShareIndexPoints(n)), nil
-}
-
-// ReconstructAtSlots interpolates the sharing polynomial from the given
-// shares (claimed degree d) and returns its evaluations at the k slot points.
-// Unlike ReconstructPacked it accepts shares at arbitrary distinct indices
-// and does not require them sorted.
-func ReconstructAtSlots(shares []Share, d, k int) ([]field.Element, error) {
-	return ReconstructPacked(shares, d, k)
 }

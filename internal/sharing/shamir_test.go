@@ -15,17 +15,45 @@ func secretsOf(vs ...uint64) []field.Element {
 	return out
 }
 
-func TestStandardShareReconstruct(t *testing.T) {
-	secret := field.New(42)
-	const d, n = 3, 10
-	shares, err := ShareStandard(secret, d, n)
+// shareStandard is a degree-d standard Shamir sharing of one secret: the
+// k=1 packed sharing, the secret at slot point x = 0.
+func shareStandard(t *testing.T, secret field.Element, d, n int) []Share {
+	t.Helper()
+	shares, err := SharePacked([]field.Element{secret}, d, n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return shares
+}
+
+// reconstructStandard recovers the secret of a degree-d standard sharing.
+func reconstructStandard(shares []Share, d int) (field.Element, error) {
+	secrets, err := ReconstructPacked(shares, d, 1)
+	if err != nil {
+		return field.Zero, err
+	}
+	return secrets[0], nil
+}
+
+// shareWise combines two sharings held by the same parties share by
+// share: op = Add is the linear homomorphism, op = Mul the
+// degree-additive product.
+func shareWise(a, b []Share, op func(x, y field.Element) field.Element) []Share {
+	out := make([]Share, len(a))
+	for i := range a {
+		out[i] = Share{Index: a[i].Index, Value: op(a[i].Value, b[i].Value)}
+	}
+	return out
+}
+
+func TestStandardShareReconstruct(t *testing.T) {
+	secret := field.New(42)
+	const d, n = 3, 10
+	shares := shareStandard(t, secret, d, n)
 	if len(shares) != n {
 		t.Fatalf("got %d shares", len(shares))
 	}
-	got, err := ReconstructStandard(shares[:d+1], d)
+	got, err := reconstructStandard(shares[:d+1], d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +65,14 @@ func TestStandardShareReconstruct(t *testing.T) {
 func TestStandardReconstructAnySubset(t *testing.T) {
 	secret := field.New(777)
 	const d, n = 2, 7
-	shares, err := ShareStandard(secret, d, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shares := shareStandard(t, secret, d, n)
 	subsets := [][]int{{0, 1, 2}, {4, 5, 6}, {0, 3, 6}, {1, 2, 5}}
 	for _, idx := range subsets {
 		sub := make([]Share, len(idx))
 		for i, j := range idx {
 			sub[i] = shares[j]
 		}
-		got, err := ReconstructStandard(sub, d)
+		got, err := reconstructStandard(sub, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,22 +127,16 @@ func TestPackedReconstructProperty(t *testing.T) {
 }
 
 func TestNotEnoughShares(t *testing.T) {
-	shares, err := ShareStandard(field.New(5), 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReconstructStandard(shares[:4], 4); err == nil {
+	shares := shareStandard(t, field.New(5), 4, 10)
+	if _, err := reconstructStandard(shares[:4], 4); err == nil {
 		t.Error("reconstruction with d shares succeeded")
 	}
 }
 
 func TestInconsistentSharesDetected(t *testing.T) {
-	shares, err := ShareStandard(field.New(5), 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shares := shareStandard(t, field.New(5), 2, 8)
 	shares[7].Value = shares[7].Value.Add(field.One) // corrupt one extra share
-	if _, err := ReconstructStandard(shares, 2); err == nil {
+	if _, err := reconstructStandard(shares, 2); err == nil {
 		t.Error("corrupted share set accepted")
 	}
 }
@@ -134,10 +153,7 @@ func TestLinearHomomorphism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := AddShares(sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := shareWise(sa, sb, field.Element.Add)
 	got, err := ReconstructPacked(sum[:d+1], d, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +178,7 @@ func TestMultiplicativeHomomorphism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := MulShares(sx, sy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prod := shareWise(sx, sy, field.Element.Mul)
 	got, err := ReconstructPacked(prod[:d1+d2+1], d1+d2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -191,10 +204,7 @@ func TestPublicVectorMultiplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := MulShares(sc, sx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prod := shareWise(sc, sx, field.Element.Mul)
 	got, err := ReconstructPacked(prod, n-1, k)
 	if err != nil {
 		t.Fatal(err)
@@ -292,20 +302,6 @@ func TestPackingLagrangeCoeffsInvalid(t *testing.T) {
 	}
 	if _, err := PackingLagrangeCoeffs(1, -1, 4); err == nil {
 		t.Error("accepted t=-1")
-	}
-}
-
-func TestAddSharesMismatch(t *testing.T) {
-	a := []Share{{Index: 1, Value: field.One}}
-	b := []Share{{Index: 2, Value: field.One}}
-	if _, err := AddShares(a, b); err == nil {
-		t.Error("AddShares accepted index mismatch")
-	}
-	if _, err := AddShares(a, nil); err == nil {
-		t.Error("AddShares accepted length mismatch")
-	}
-	if _, err := MulShares(a, b); err == nil {
-		t.Error("MulShares accepted index mismatch")
 	}
 }
 

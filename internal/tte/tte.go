@@ -151,6 +151,16 @@ func EncryptAll(s Scheme, pk PublicKey, ms []*big.Int, bound *big.Int, workers i
 	return out, nil
 }
 
+// Ones returns m big.Int ones: the (1)^|S| coefficient vector that makes
+// Eval sum its ciphertexts.
+func Ones(m int) []*big.Int {
+	out := make([]*big.Int, m)
+	for i := range out {
+		out[i] = big.NewInt(1)
+	}
+	return out
+}
+
 // Simulator is the partial-decryption simulatability hook (SimTPDec).
 // Only backends holding dealer secrets implement it; it exists to make the
 // paper's Definition 2 testable, not for protocol execution.

@@ -156,19 +156,3 @@ func encodePubInfo(n, t, ctBytes int) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(ctBytes))
 	return padTo(buf, ctBytes/2)
 }
-
-// DecodePublicKeyInfo parses a public-key announcement into its metadata
-// (n, t, ciphertext width). It is backend-independent: auditors use it to
-// validate board traffic without dealer state.
-func DecodePublicKeyInfo(data []byte) (n, t, ctBytes int, err error) {
-	if len(data) < 13 {
-		return 0, 0, 0, fmt.Errorf("%w: short public key announcement", ErrMalformedMessage)
-	}
-	if data[0] != tagPubInfo {
-		return 0, 0, 0, fmt.Errorf("%w: tag %d, want %d", ErrMalformedMessage, data[0], tagPubInfo)
-	}
-	n = int(binary.BigEndian.Uint32(data[1:]))
-	t = int(binary.BigEndian.Uint32(data[5:]))
-	ctBytes = int(binary.BigEndian.Uint32(data[9:]))
-	return n, t, ctBytes, nil
-}

@@ -331,8 +331,12 @@ func (p *Prepared) Execute(inputs map[int][]Value) (*Result, error) {
 	return &Result{Outputs: res.Outputs, Report: res.Report, Excluded: res.Excluded, Rounds: res.Rounds}, nil
 }
 
-// RunBaseline executes the CDN-style baseline (Gentry et al., CRYPTO 2021)
-// with committee size N and threshold T; K is ignored.
+// RunBaseline executes the CDN-style baseline (Gentry et al., CRYPTO 2021).
+// It honours N and T (committee size and threshold), Backend, and the
+// adversary fields Malicious, FailStops, Leaky and Seed. K, Robust,
+// MirrorAddr, Workers, Trace, Metrics, Monitor and Proc are ignored:
+// committee members fan out on the default pool (one worker per CPU),
+// untraced.
 func RunBaseline(cfg Config, circ *Circuit, inputs map[int][]Value) (*Result, error) {
 	var adv *yoso.Adversary
 	if cfg.Malicious > 0 || cfg.FailStops > 0 || cfg.Leaky > 0 {
