@@ -31,7 +31,7 @@ func BadFieldOps(a, b field.Element) field.Element {
 // BadRoleReuse violates roleonce: the role acts after it spoke.
 func BadRoleReuse(r *yoso.Role) {
 	r.Spoke()
-	r.Post(comm.PhaseOnline, comm.CatInput, []byte("l"), "late")
+	r.Post(comm.PhaseOnline, comm.CatInput, []byte("l"))
 }
 
 // BadDroppedError violates postcheck: the board error vanishes.

@@ -118,6 +118,7 @@ func (p *Protocol) Board() *transport.Board { return p.board }
 type run struct {
 	p          *Protocol
 	tpk        tte.PublicKey
+	w          yoso.Widths
 	clients    map[int]*yoso.Role
 	wireCt     []tte.Ciphertext
 	beaver     map[int]*triple
@@ -127,12 +128,6 @@ type run struct {
 }
 
 type triple struct{ a, b, c tte.Ciphertext }
-
-// garbage is a malicious member's step message: size zero bytes, the
-// width of an honest message, with a forged proof the engine attaches.
-func garbage(size int) func(int) (yoso.Msg, error) {
-	return func(int) (yoso.Msg, error) { return yoso.Msg{Payload: "garbage", Wire: make([]byte, size)}, nil }
-}
 
 // Run executes the baseline protocol.
 func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
@@ -153,11 +148,14 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 		return nil, err
 	}
 	r.tpk = tpk
+	if r.w, err = yoso.MeasureWidths(p.params.TE, p.params.PKE, tpk, shares[0]); err != nil {
+		return nil, fmt.Errorf("baseline: measuring message widths: %w", err)
+	}
 	tpkEnc, err := p.params.TE.EncodePublicKey(tpk)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: encoding tpk announcement: %w", err)
 	}
-	p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc, tpk)
+	p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc)
 	for _, id := range p.circ.Clients() {
 		role, err := p.assign.NewKnownParty("client", id, comm.PhaseSetup)
 		if err != nil {
@@ -204,12 +202,12 @@ func (r *run) offlineBeaver() error {
 	if err != nil {
 		return err
 	}
-	ctSize := r.tpk.CiphertextSize()
 
+	aShape := yoso.Shape{Cts: len(muls)}
 	aPosts, err := r.eng.Run(nil, b1, yoso.Step{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a",
 		Honest: func(i int) (yoso.Msg, error) {
 			cts := make([]tte.Ciphertext, len(muls))
-			var wire []byte
+			wire := make([]byte, 0, r.w.Of(aShape))
 			for g := range muls {
 				ct, err := te.Encrypt(r.tpk, field.MustRandom().Big(), field.ModulusBig())
 				if err != nil {
@@ -224,7 +222,7 @@ func (r *run) offlineBeaver() error {
 			}
 			return yoso.Msg{Payload: cts, Wire: wire}, nil
 		},
-		Malicious: garbage(len(muls) * ctSize),
+		Malicious: r.w.Lie(aShape),
 	})
 	if err != nil {
 		return err
@@ -235,10 +233,11 @@ func (r *run) offlineBeaver() error {
 	}
 
 	type bc struct{ b, c []tte.Ciphertext }
+	bcShape := yoso.Shape{Cts: 2 * len(muls)}
 	bcPosts, err := r.eng.Run(nil, b2, yoso.Step{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc",
 		Honest: func(i int) (yoso.Msg, error) {
 			out := bc{b: make([]tte.Ciphertext, len(muls)), c: make([]tte.Ciphertext, len(muls))}
-			var wire []byte
+			wire := make([]byte, 0, r.w.Of(bcShape))
 			for g := range muls {
 				bv := field.MustRandom()
 				bct, err := te.Encrypt(r.tpk, bv.Big(), field.ModulusBig())
@@ -260,7 +259,7 @@ func (r *run) offlineBeaver() error {
 			}
 			return yoso.Msg{Payload: out, Wire: wire}, nil
 		},
-		Malicious: garbage(2 * len(muls) * ctSize),
+		Malicious: r.w.Lie(bcShape),
 	})
 	if err != nil {
 		return err
@@ -326,7 +325,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 	for _, client := range r.p.circ.Clients() {
 		role := r.clients[client]
 		inGates := r.p.circ.InputGates(client)
-		var wire []byte
+		wire := make([]byte, 0, r.w.Of(yoso.Shape{Cts: len(inGates)}))
 		cts := make([]tte.Ciphertext, len(inGates))
 		for j := range inGates {
 			ct, err := te.Encrypt(r.tpk, inputs[client][j].Big(), field.ModulusBig())
@@ -389,7 +388,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 		if err != nil {
 			return nil, fmt.Errorf("baseline: encoding dealer envelope %d: %w", i+1, err)
 		}
-		r.p.board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, enc, env)
+		r.p.board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, enc)
 	}
 
 	// Group mul gates by layer.
@@ -429,6 +428,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 			open = append(open, eps, del)
 		}
 		handoffNext := map[int][]tte.SubShare{}
+		layerShape := yoso.Shape{Parts: len(open), SubEnvs: next.N()}
 		posts, err := r.eng.Run(nil, c, yoso.Step{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: fmt.Sprintf("layer%d", l),
 			Honest: func(i int) (yoso.Msg, error) {
 				sh := shares[i-1]
@@ -436,7 +436,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 					return yoso.Msg{}, fmt.Errorf("role %d has no tsk share", i)
 				}
 				parts := make([]tte.PartialDec, len(open))
-				var wire []byte
+				wire := make([]byte, 0, r.w.Of(layerShape))
 				for j, ct := range open {
 					part, err := te.PartialDecrypt(r.tpk, sh, ct)
 					if err != nil {
@@ -473,7 +473,7 @@ func (r *run) online(inputs map[int][]field.Element, dealerShares []tte.KeyShare
 				}
 				return yoso.Msg{Payload: partialBundle{parts: parts, subs: subs}, Wire: wire}, nil
 			},
-			Malicious: garbage(2*len(layerGates)*r.tpk.CiphertextSize() + p.N*(r.tpk.CiphertextSize()+60)),
+			Malicious: r.w.Lie(layerShape),
 		})
 		if err != nil {
 			return nil, err
@@ -648,6 +648,7 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 			outs = append(outs, outGate{gi: gi, client: client, wire: gates[gi].A})
 		}
 	}
+	outShape := yoso.Shape{PartEnvs: len(outs)}
 	posts, err := r.eng.Run(nil, outC, yoso.Step{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output",
 		Honest: func(i int) (yoso.Msg, error) {
 			sh := shares[i-1]
@@ -655,7 +656,7 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 				return yoso.Msg{}, fmt.Errorf("role %d has no tsk share", i)
 			}
 			envs := make(map[int]pke.Ciphertext, len(outs))
-			var wire []byte
+			wire := make([]byte, 0, r.w.Of(outShape))
 			seal := pke.NewSealer(p.PKE)
 			for _, og := range outs {
 				part, err := te.PartialDecrypt(r.tpk, sh, r.wireCt[og.wire])
@@ -679,7 +680,7 @@ func (r *run) outputs(outC *yoso.Committee, shares []tte.KeyShare) (map[int][]fi
 			}
 			return yoso.Msg{Payload: envs, Wire: wire}, nil
 		},
-		Malicious: garbage(len(outs) * (r.tpk.CiphertextSize() + 60)),
+		Malicious: r.w.Lie(outShape),
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package baseline
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"yosompc/internal/circuit"
@@ -227,5 +228,44 @@ func TestMixedAdversaryExclusions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Report, second.Report) {
 		t.Errorf("reports differ across runs:\n%+v\n%+v", first.Report, second.Report)
+	}
+}
+
+// TestStepPostingWidths runs the Sim backends with malicious and
+// fail-stop members in every committee: every non-proof posting of one
+// committee in one category has the same width, so a malicious member's
+// lie is as wide as the honest messages it stands in for.
+func TestStepPostingWidths(t *testing.T) {
+	circ, err := circuit.WideMul(6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5, 6}})
+	proto, err := New(simParams(9, 4, yoso.NewAdversary(2, 1, 7)), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.Run(in); err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		committee string
+		cat       comm.Category
+	}
+	width := map[key]int{}
+	for _, p := range proto.Board().All() {
+		committee, _, ok := strings.Cut(p.From, "/")
+		if !ok || committee == "client" || p.Category == comm.CatProof {
+			continue
+		}
+		k := key{committee, p.Category}
+		if w, seen := width[k]; !seen {
+			width[k] = p.Size
+		} else if w != p.Size {
+			t.Errorf("%s posted %d bytes of %s, another member %d", p.From, p.Size, p.Category, w)
+		}
+	}
+	if len(width) == 0 {
+		t.Fatal("no committee postings")
 	}
 }

@@ -674,10 +674,15 @@ func TestFreshMasksAcrossRuns(t *testing.T) {
 		}
 		var mus []field.Element
 		for _, p := range proto.Board().All() {
-			if p.Category == comm.CatInput {
-				if mb, ok := p.Payload.(muBundle); ok {
-					mus = append(mus, mb.vals...)
+			if p.Category != comm.CatInput {
+				continue
+			}
+			for off := 0; off < len(p.Bytes); off += field.ElementSize {
+				mu, err := field.FromBytes(p.Bytes[off : off+field.ElementSize])
+				if err != nil {
+					t.Fatal(err)
 				}
+				mus = append(mus, mu)
 			}
 		}
 		return mus

@@ -2,54 +2,80 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"yosompc/internal/circuit"
+	"yosompc/internal/comm"
 	"yosompc/internal/field"
-	"yosompc/internal/transport"
+	"yosompc/internal/pke"
+	"yosompc/internal/tte"
 )
 
-// postedEnvelopes lists the PKE envelopes a board posting carries, and the
-// bytes of the posting that are not envelopes.
-func postedEnvelopes(p transport.Posting) (envs []envelope, other int) {
-	switch pl := p.Payload.(type) {
-	case envelope:
-		envs = append(envs, pl)
-	case decPayload:
-		for _, e := range pl.partEnc {
-			other += len(e)
-		}
-		envs = append(envs, pl.reshare...)
-	case reencPayload:
-		for _, e := range pl.inputs {
-			envs = append(envs, e)
-		}
-		for _, m := range []map[int][]envelope{pl.left, pl.right, pl.gamma} {
-			for _, es := range m {
-				envs = append(envs, es...)
-			}
-		}
-		envs = append(envs, pl.reshare...)
-	case kffDelivery:
-		for _, e := range pl.layer {
-			envs = append(envs, e)
-		}
-		for _, e := range pl.client {
-			envs = append(envs, e)
-		}
-		envs = append(envs, pl.reshare...)
-	case outputPayload:
-		for _, e := range pl.envs {
-			envs = append(envs, e)
-		}
+// recorder collects the items a run puts into its messages: the encoding
+// of every envelope a step sealer makes, and of every partial decryption.
+type recorder struct {
+	mu       sync.Mutex
+	envs     [][]byte
+	partials [][]byte
+}
+
+func (r *recorder) add(list *[][]byte, b []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	*list = append(*list, append([]byte(nil), b...))
+}
+
+// recordingPKE is an ECIES scheme whose step sealers record every
+// envelope they seal.
+type recordingPKE struct {
+	*pke.ECIES
+	rec *recorder
+}
+
+func (s recordingPKE) NewSealer() pke.Sealer {
+	return recordingSealer{inner: s.ECIES.NewSealer(), s: s}
+}
+
+type recordingSealer struct {
+	inner pke.Sealer
+	s     recordingPKE
+}
+
+func (rs recordingSealer) Encrypt(pk pke.PublicKey, msg []byte) (pke.Ciphertext, error) {
+	ct, err := rs.inner.Encrypt(pk, msg)
+	if err != nil {
+		return nil, err
 	}
-	return envs, other
+	enc, err := rs.s.EncodeCiphertext(ct)
+	if err != nil {
+		return nil, err
+	}
+	rs.s.rec.add(&rs.s.rec.envs, enc)
+	return ct, nil
+}
+
+// recordingTE is a TE backend that records every partial decryption it
+// encodes (the public ones land on the board in the clear).
+type recordingTE struct {
+	TE
+	rec *recorder
+}
+
+func (t recordingTE) EncodePartial(p tte.PartialDec) ([]byte, error) {
+	enc, err := t.TE.EncodePartial(p)
+	if err == nil {
+		t.rec.add(&t.rec.partials, enc)
+	}
+	return enc, err
 }
 
 // TestEnvelopeEphemeralPerSpeaker reads every ECIES envelope of a small
 // real-backend run back from the board bytes. All envelopes of one
 // speaker (a committee member's post, or the setup dealer's deliveries)
-// carry one ephemeral key, and no two speakers share one.
+// carry one ephemeral key, and no two speakers share one. Every sealed
+// envelope reaches the board, and envelopes plus public partial
+// decryptions cover every byte of the postings that carry envelopes.
 func TestEnvelopeEphemeralPerSpeaker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-crypto end-to-end in -short mode")
@@ -62,6 +88,9 @@ func TestEnvelopeEphemeralPerSpeaker(t *testing.T) {
 	for _, noKFF := range []bool{false, true} {
 		params := realParams(t, 5, 1, 2, nil)
 		params.NoKFF = noKFF
+		rec := &recorder{}
+		params.PKE = recordingPKE{ECIES: pke.NewECIES(), rec: rec}
+		params.TE = recordingTE{TE: params.TE, rec: rec}
 		want, err := circ.Eval(in)
 		if err != nil {
 			t.Fatal(err)
@@ -82,30 +111,35 @@ func TestEnvelopeEphemeralPerSpeaker(t *testing.T) {
 
 		ephOf := map[string]string{} // speaker → ephemeral
 		speakerOf := map[string]string{}
+		posted := make([]int, len(rec.envs)) // postings carrying each envelope
 		reencPosts := 0
 		for _, post := range proto.Board().All() {
-			envs, other := postedEnvelopes(post)
-			if len(envs) == 0 {
-				continue
-			}
-			if _, ok := post.Payload.(reencPayload); ok {
-				reencPosts++
-			}
-			covered := other
-			for j, env := range envs {
-				enc, err := params.PKE.EncodeCiphertext(env.Ct)
-				if err != nil {
-					t.Fatal(err)
-				}
-				off := bytes.Index(post.Bytes, enc)
+			covered := make([]bool, len(post.Bytes))
+			cover := func(item []byte) (int, bool) {
+				off := bytes.Index(post.Bytes, item)
 				if off < 0 {
-					t.Fatalf("post #%d (%s): envelope %d is not in the posted bytes", post.Seq, post.From, j)
+					return 0, false
 				}
+				for i := off; i < off+len(item); i++ {
+					if covered[i] {
+						t.Errorf("post #%d (%s): byte %d covered twice", post.Seq, post.From, i)
+					}
+					covered[i] = true
+				}
+				return off, true
+			}
+			envs := 0
+			for j, enc := range rec.envs {
+				off, ok := cover(enc)
+				if !ok {
+					continue
+				}
+				envs++
+				posted[j]++
 				onBoard := post.Bytes[off : off+len(enc)]
 				if _, err := params.PKE.DecodeCiphertext(onBoard); err != nil {
 					t.Fatalf("post #%d (%s): envelope %d: %v", post.Seq, post.From, j, err)
 				}
-				covered += len(enc)
 				eph := string(onBoard[:32])
 				if prev, ok := ephOf[post.From]; !ok {
 					ephOf[post.From] = eph
@@ -117,8 +151,28 @@ func TestEnvelopeEphemeralPerSpeaker(t *testing.T) {
 				}
 				speakerOf[eph] = post.From
 			}
-			if covered != post.Size {
-				t.Errorf("post #%d (%s): envelopes and partials cover %d of %d bytes", post.Seq, post.From, covered, post.Size)
+			if envs == 0 {
+				continue
+			}
+			if post.Category == comm.CatReencrypt {
+				reencPosts++
+			}
+			for _, enc := range rec.partials {
+				cover(enc)
+			}
+			n := 0
+			for _, c := range covered {
+				if c {
+					n++
+				}
+			}
+			if n != post.Size {
+				t.Errorf("post #%d (%s): envelopes and partials cover %d of %d bytes", post.Seq, post.From, n, post.Size)
+			}
+		}
+		for j, n := range posted {
+			if n != 1 {
+				t.Errorf("NoKFF=%v: sealed envelope %d is in %d postings, want 1", noKFF, j, n)
 			}
 		}
 		if reencPosts < params.N {

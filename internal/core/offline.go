@@ -20,42 +20,8 @@ func (r *run) initWireState() {
 	r.mu = make([]field.Element, n)
 	r.muKnown = make([]bool, n)
 	r.beaver = map[int]*beaverTriple{}
-	r.handoffs = map[string]map[int][]envelope{}
-	r.inputEnv = map[int][]envelope{}
-}
-
-// garbage is the type-correct stand-in a malicious role broadcasts: the
-// driver never consumes its content (the forged proof excludes it), so only
-// the modelled size matters for metering.
-type garbage struct{ size int }
-
-func (g garbage) wireSize() int { return g.size }
-
-// encodeWire emits size zero bytes: garbage content is never consumed, but
-// it must occupy exactly the modelled space on the board.
-func (g garbage) encodeWire(*Params) ([]byte, error) { return make([]byte, g.size), nil }
-
-// ctBundle is a broadcast bundle of threshold ciphertexts.
-type ctBundle struct{ cts []tte.Ciphertext }
-
-func (b ctBundle) wireSize() int {
-	s := 0
-	for _, ct := range b.cts {
-		s += ct.Size()
-	}
-	return s
-}
-
-func (b ctBundle) encodeWire(p *Params) ([]byte, error) {
-	out := make([]byte, 0, b.wireSize())
-	for _, ct := range b.cts {
-		enc, err := p.TE.EncodeCiphertext(ct)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, enc...)
-	}
-	return out, nil
+	r.handoffs = map[string][][]pke.Ciphertext{}
+	r.inputEnv = map[int][]pke.Ciphertext{}
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
@@ -105,8 +71,7 @@ func (r *run) offline() error {
 		if err != nil {
 			return fmt.Errorf("encoding dealer envelope %d: %w", i+1, err)
 		}
-		env := envelope{From: "setup-dealer", To: fmt.Sprintf("offDec/%d", i+1), Ct: ct}
-		r.p.board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, enc, env)
+		r.p.board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, enc)
 	}
 	r.logStep("offline committees formed", "committees", 6, "size", p.N)
 
@@ -174,22 +139,17 @@ func (r *run) offlineBeaver() error {
 	if len(muls) == 0 {
 		return nil
 	}
-	garbSize := len(muls) * r.tpk.CiphertextSize()
-
 	// OffB1: each role encrypts a random a-contribution per gate.
 	aPosts, err := r.committeeStep(r.offB1, comm.PhaseOffline, comm.CatBeaver, "beaver-a",
-		func(i int) (sized, error) {
+		func(i int) (stepMsg, error) {
 			ms := make([]*big.Int, len(muls))
 			for g := range muls {
 				ms[g] = field.MustRandom().Big()
 			}
 			cts, err := tte.EncryptAll(te, r.tpk, ms, field.ModulusBig(), r.workers())
-			if err != nil {
-				return nil, err
-			}
-			return ctBundle{cts: cts}, nil
+			return stepMsg{cts: cts}, err
 		},
-		func(i int) sized { return garbage{size: garbSize} })
+		yoso.Shape{Cts: len(muls)})
 	if err != nil {
 		return err
 	}
@@ -199,29 +159,28 @@ func (r *run) offlineBeaver() error {
 	}
 
 	// OffB2: each role encrypts b-contributions and homomorphically forms
-	// c-contributions c_i^c = b_i · c^a.
-	bcSize := 2 * garbSize
+	// c-contributions c_i^c = b_i · c^a; the message is the b's then the c's.
 	bcPosts, err := r.committeeStep(r.offB2, comm.PhaseOffline, comm.CatBeaver, "beaver-bc",
-		func(i int) (sized, error) {
+		func(i int) (stepMsg, error) {
 			ms := make([]*big.Int, len(muls))
 			for g := range muls {
 				ms[g] = field.MustRandom().Big()
 			}
 			bs, err := tte.EncryptAll(te, r.tpk, ms, field.ModulusBig(), r.workers())
 			if err != nil {
-				return nil, err
+				return stepMsg{}, err
 			}
-			cs := make([]tte.Ciphertext, len(muls))
+			bcs := append(bs, make([]tte.Ciphertext, len(muls))...)
 			for g := range muls {
 				cct, err := te.Eval(r.tpk, []tte.Ciphertext{cA[g]}, []*big.Int{ms[g]})
 				if err != nil {
-					return nil, err
+					return stepMsg{}, err
 				}
-				cs[g] = cct
+				bcs[len(muls)+g] = cct
 			}
-			return bundle2{a: ctBundle{bs}, b: ctBundle{cs}}, nil
+			return stepMsg{cts: bcs}, nil
 		},
-		func(i int) sized { return garbage{size: bcSize} })
+		yoso.Shape{Cts: 2 * len(muls)})
 	if err != nil {
 		return err
 	}
@@ -231,14 +190,9 @@ func (r *run) offlineBeaver() error {
 	// the loop fans out over the worker pool, slot-indexed per gate.
 	if err := r.pfor(len(muls), func(g int) error {
 		var bParts, cParts []tte.Ciphertext
-		for i := 1; i <= r.offB2.N(); i++ {
-			payload, ok := bcPosts[i]
-			if !ok {
-				continue
-			}
-			bb := payload.(bundle2)
-			bParts = append(bParts, bb.a.cts[g])
-			cParts = append(cParts, bb.b.cts[g])
+		for _, m := range bcPosts {
+			bParts = append(bParts, m.cts[g])
+			cParts = append(cParts, m.cts[len(muls)+g])
 		}
 		if len(bParts) == 0 {
 			return fmt.Errorf("%w: no valid Beaver b-contributions", ErrNotEnough)
@@ -262,35 +216,18 @@ func (r *run) offlineBeaver() error {
 	return nil
 }
 
-// bundle2 pairs two ciphertext bundles in one broadcast.
-type bundle2 struct{ a, b ctBundle }
-
-func (b bundle2) wireSize() int { return b.a.wireSize() + b.b.wireSize() }
-
-func (b bundle2) encodeWire(p *Params) ([]byte, error) {
-	ea, err := b.a.encodeWire(p)
-	if err != nil {
-		return nil, err
-	}
-	eb, err := b.b.encodeWire(p)
-	if err != nil {
-		return nil, err
-	}
-	return append(ea, eb...), nil
-}
-
 // sumContributions adds each position's valid contributions: the standard
 // "everyone computes TEval(tpk, {c_i}_{i∈S}, (1)^|S|)" pattern. Positions
 // are independent, so the loop fans out over the worker pool; the output
 // stays slot-indexed by position (TEval is commutative over the
 // contribution set, so the result is worker-count independent).
-func (r *run) sumContributions(posts map[int]any, count int) ([]tte.Ciphertext, error) {
+func (r *run) sumContributions(posts []stepMsg, count int) ([]tte.Ciphertext, error) {
 	te := r.p.params.TE
 	out := make([]tte.Ciphertext, count)
 	err := r.pfor(count, func(pos int) error {
-		var parts []tte.Ciphertext
-		for _, payload := range posts {
-			parts = append(parts, payload.(ctBundle).cts[pos])
+		parts := make([]tte.Ciphertext, len(posts))
+		for j, m := range posts {
+			parts[j] = m.cts[pos]
 		}
 		if len(parts) == 0 {
 			return fmt.Errorf("%w: no valid contributions at position %d", ErrNotEnough, pos)
@@ -324,21 +261,17 @@ func (r *run) offlineWireRandomness() error {
 	}
 	helpersPer := 3 * p.T * len(r.batches)
 	total := len(targets) + helpersPer
-	garbSize := total * r.tpk.CiphertextSize()
 
 	posts, err := r.committeeStep(r.offR, comm.PhaseOffline, comm.CatLambda, "wire-randomness",
-		func(i int) (sized, error) {
+		func(i int) (stepMsg, error) {
 			ms := make([]*big.Int, total)
 			for j := range ms {
 				ms[j] = field.MustRandom().Big()
 			}
 			cts, err := tte.EncryptAll(te, r.tpk, ms, field.ModulusBig(), r.workers())
-			if err != nil {
-				return nil, err
-			}
-			return ctBundle{cts: cts}, nil
+			return stepMsg{cts: cts}, err
 		},
-		func(i int) sized { return garbage{size: garbSize} })
+		yoso.Shape{Cts: total})
 	if err != nil {
 		return err
 	}
@@ -474,141 +407,135 @@ func (r *run) offlineDependentWires() error {
 	return nil
 }
 
-// decPayload is the OffDec committee's single broadcast: partial
-// decryptions for every opened ciphertext plus encrypted tsk subshares for
-// the next committee.
-type decPayload struct {
-	partials []tte.PartialDec
-	// partEnc caches each partial's wire encoding, produced alongside the
-	// partial itself so wireSize and encodeWire agree byte-for-byte (the
-	// real-backend encoding length is value-dependent).
-	partEnc [][]byte
-	reshare []envelope
-}
-
-func (d decPayload) wireSize() int {
-	s := 0
-	for _, e := range d.partEnc {
-		s += len(e)
-	}
-	for _, e := range d.reshare {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (d decPayload) encodeWire(p *Params) ([]byte, error) {
-	out := make([]byte, 0, d.wireSize())
-	for _, e := range d.partEnc {
-		out = append(out, e...)
-	}
-	return appendEnvelopes(p, out, d.reshare)
-}
-
 // offDecSpeak runs the OffDec committee: publish partial decryptions of
 // `open` (possibly empty) and reshare tsk to OffRe. It returns the opened
 // values reduced into the field.
 func (r *run) offDecSpeak(open []tte.Ciphertext) ([]field.Element, error) {
-	posts, err := r.tskCommitteeSpeak(r.offDec, r.offDecShares, comm.PhaseOffline,
-		"offdec-open", open, r.offRe, func(i int) pke.PublicKey { return r.offRe.Role(i).PublicKey() })
+	posts, err := r.tskStep(r.offDec, r.offDecShares, comm.PhaseOffline, comm.CatPartial,
+		"offdec-open", open, nil, r.offRe)
 	if err != nil {
 		return nil, err
 	}
-	r.storeHandoff("offRe", posts)
 	return r.combineOpenings(open, posts)
 }
 
-// tskCommitteeSpeak is the shared Decrypt/Re-encrypt skeleton (paper
-// Protocols 1 and 2): every member of committee c holding the tsk shares
-// in `shares` publishes partial decryptions of the `open` ciphertexts and,
-// when `next` is non-nil, reshares its tsk share to the next committee
-// under the supplied target keys.
-func (r *run) tskCommitteeSpeak(c *yoso.Committee, shares []tte.KeyShare, phase comm.Phase,
-	label string, open []tte.Ciphertext, next *yoso.Committee,
-	targetKey func(i int) pke.PublicKey) (map[int]any, error) {
-	p := r.p.params
-	te := p.TE
-	garbSize := len(open)*r.tpk.CiphertextSize() + p.N*(r.tpk.CiphertextSize()+60)
-	return r.committeeStep(c, phase, comm.CatPartial, label,
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			payload := decPayload{}
-			for _, ct := range open {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return nil, err
-				}
-				penc, err := te.EncodePartial(part)
-				if err != nil {
-					return nil, err
-				}
-				payload.partials = append(payload.partials, part)
-				payload.partEnc = append(payload.partEnc, penc)
-			}
-			if next != nil {
-				subs, err := te.Reshare(r.tpk, sh)
-				if err != nil {
-					return nil, err
-				}
-				seal := pke.NewSealer(p.PKE)
-				for _, sub := range subs {
-					data, err := te.EncodeSubShare(sub)
-					if err != nil {
-						return nil, err
-					}
-					env, err := seal.Encrypt(targetKey(sub.To()), data)
-					if err != nil {
-						return nil, err
-					}
-					payload.reshare = append(payload.reshare, envelope{
-						From: c.Role(i).Name(),
-						To:   fmt.Sprintf("%s/%d", next.Name, sub.To()),
-						Ct:   env,
-					})
-				}
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
+// sealed is one Re-encrypt item: a ciphertext whose plaintext goes to the
+// holder of key alone.
+type sealed struct {
+	ct  tte.Ciphertext
+	key pke.PublicKey
 }
 
-// storeHandoff files the verified resharing envelopes for the next
-// committee, indexed by target member.
-func (r *run) storeHandoff(nextName string, posts map[int]any) {
-	byTarget := map[int][]envelope{}
-	for _, payload := range posts {
-		dp, ok := payload.(decPayload)
-		if !ok {
-			continue
-		}
-		for _, env := range dp.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, nextName+"/%d", &idx); err != nil {
-				continue
+// tskStep is the shared Decrypt/Re-encrypt skeleton (paper Protocols 1
+// and 2): every member of committee c holding the tsk shares in `shares`
+// posts a partial decryption of each `open` ciphertext, a sealed partial
+// decryption of each item for its reader, and, when next is non-nil, its
+// tsk share reshared to next's members, which the step files for next's
+// recoverShares. Each message is parts = open, envs = items ‖ reshares.
+func (r *run) tskStep(c *yoso.Committee, shares []tte.KeyShare, phase comm.Phase, cat comm.Category,
+	label string, open []tte.Ciphertext, items []sealed, next *yoso.Committee) ([]stepMsg, error) {
+	p := r.p.params
+	te := p.TE
+	lie := yoso.Shape{Parts: len(open), PartEnvs: len(items)}
+	if next != nil {
+		lie.SubEnvs = next.N()
+	}
+	posts, err := r.committeeStep(c, phase, cat, label,
+		func(i int) (stepMsg, error) {
+			sh := shares[i-1]
+			if sh == nil {
+				return stepMsg{}, fmt.Errorf("role %d has no tsk share", i)
 			}
-			byTarget[idx] = append(byTarget[idx], env)
+			m := stepMsg{
+				parts: make([]tte.PartialDec, len(open)),
+				envs:  make([]pke.Ciphertext, len(items), len(items)+lie.SubEnvs),
+			}
+			for j, ct := range open {
+				part, err := te.PartialDecrypt(r.tpk, sh, ct)
+				if err != nil {
+					return stepMsg{}, err
+				}
+				m.parts[j] = part
+			}
+			seal := pke.NewSealer(p.PKE)
+			for j, it := range items {
+				env, err := r.sealPartial(seal, sh, it.ct, it.key)
+				if err != nil {
+					return stepMsg{}, err
+				}
+				m.envs[j] = env
+			}
+			if next != nil {
+				subs, err := r.reshareTo(seal, sh, next)
+				if err != nil {
+					return stepMsg{}, err
+				}
+				m.envs = append(m.envs, subs...)
+			}
+			return m, nil
+		}, lie)
+	if err != nil {
+		return nil, err
+	}
+	if next != nil {
+		byTarget := make([][]pke.Ciphertext, next.N())
+		for _, m := range posts {
+			subs := m.envs[len(items):]
+			for j := range byTarget {
+				byTarget[j] = append(byTarget[j], subs[j])
+			}
+		}
+		r.handoffs[next.Name] = byTarget
+	}
+	return posts, nil
+}
+
+// sealPartial partially decrypts ct under sh and seals the partial for
+// key: one Re-encrypt envelope.
+func (r *run) sealPartial(seal pke.Sealer, sh tte.KeyShare, ct tte.Ciphertext, key pke.PublicKey) (pke.Ciphertext, error) {
+	te := r.p.params.TE
+	part, err := te.PartialDecrypt(r.tpk, sh, ct)
+	if err != nil {
+		return nil, err
+	}
+	data, err := te.EncodePartial(part)
+	if err != nil {
+		return nil, err
+	}
+	return seal.Encrypt(key, data)
+}
+
+// reshareTo reshares sh to next's members: one sealed subshare per
+// member, in member order.
+func (r *run) reshareTo(seal pke.Sealer, sh tte.KeyShare, next *yoso.Committee) ([]pke.Ciphertext, error) {
+	te := r.p.params.TE
+	subs, err := te.Reshare(r.tpk, sh)
+	if err != nil {
+		return nil, err
+	}
+	envs := make([]pke.Ciphertext, next.N())
+	for _, sub := range subs {
+		data, err := te.EncodeSubShare(sub)
+		if err != nil {
+			return nil, err
+		}
+		if envs[sub.To()-1], err = seal.Encrypt(next.Role(sub.To()).PublicKey(), data); err != nil {
+			return nil, err
 		}
 	}
-	r.handoffs[nextName] = byTarget
+	return envs, nil
 }
 
 // combineOpenings combines the verified partial decryptions of each opened
 // ciphertext and reduces into the field. The per-opening TDec fan-in is
 // independent per position, so it runs on the worker pool, slot-indexed.
-func (r *run) combineOpenings(open []tte.Ciphertext, posts map[int]any) ([]field.Element, error) {
+func (r *run) combineOpenings(open []tte.Ciphertext, posts []stepMsg) ([]field.Element, error) {
 	te := r.p.params.TE
 	out := make([]field.Element, len(open))
 	err := r.pfor(len(open), func(j int) error {
-		var parts []tte.PartialDec
-		for _, payload := range posts {
-			dp, ok := payload.(decPayload)
-			if !ok || j >= len(dp.partials) {
-				continue
-			}
-			parts = append(parts, dp.partials[j])
+		parts := make([]tte.PartialDec, len(posts))
+		for i, m := range posts {
+			parts[i] = m.parts[j]
 		}
 		v, err := te.Combine(r.tpk, open[j], parts)
 		if err != nil {
@@ -636,8 +563,8 @@ func (r *run) recoverShares(c *yoso.Committee, phase comm.Phase) ([]tte.KeyShare
 			continue // crashed before reading
 		}
 		var subs []tte.SubShare
-		for _, env := range byTarget[i] {
-			sub, err := r.decryptSubShare(role.SecretKey(), env.Ct)
+		for _, env := range byTarget[i-1] {
+			sub, err := r.decryptSubShare(role.SecretKey(), env)
 			if err != nil {
 				continue
 			}
@@ -698,14 +625,12 @@ func (r *run) offlinePack() error {
 			}
 			rowAt = func(i int) []field.Element { return rows[i] }
 		}
-		left := make([]tte.Ciphertext, b.k)
-		right := make([]tte.Ciphertext, b.k)
-		gamma := make([]tte.Ciphertext, b.k)
-		for j, gi := range b.Gates {
+		var vals [3][]tte.Ciphertext
+		for _, gi := range b.Gates {
 			g := gates[gi]
-			left[j] = r.wireCt[g.A]
-			right[j] = r.wireCt[g.B]
-			gamma[j] = r.gammaCt[gi]
+			vals[0] = append(vals[0], r.wireCt[g.A])
+			vals[1] = append(vals[1], r.wireCt[g.B])
+			vals[2] = append(vals[2], r.gammaCt[gi])
 		}
 		pack := func(vals []tte.Ciphertext, helpers []tte.Ciphertext) ([]tte.Ciphertext, error) {
 			points := append(append([]tte.Ciphertext{}, vals...), helpers...)
@@ -730,17 +655,11 @@ func (r *run) offlinePack() error {
 			}
 			return out, nil
 		}
-		if b.packedLeft, err = pack(left, b.helpers[0]); err != nil {
-			sp.End()
-			return err
-		}
-		if b.packedRight, err = pack(right, b.helpers[1]); err != nil {
-			sp.End()
-			return err
-		}
-		if b.packedGamma, err = pack(gamma, b.helpers[2]); err != nil {
-			sp.End()
-			return err
+		for kind := range b.packed {
+			if b.packed[kind], err = pack(vals[kind], b.helpers[kind]); err != nil {
+				sp.End()
+				return err
+			}
 		}
 		sp.End()
 	}

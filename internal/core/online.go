@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
@@ -12,17 +11,6 @@ import (
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
-
-// sortedKeys returns an int-keyed map's keys in ascending order: map-shaped
-// payloads must encode deterministically.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
 
 // online executes the offline/online boundary (OffRe's speak: Steps 5–6 +
 // tsk hand-off) and Π_YOSO-Online: future key distribution, inputs, layer
@@ -87,241 +75,79 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 	return r.onlineOutput()
 }
 
-// envBundle is a broadcast bundle of addressed envelopes (the YOSO
-// "point-to-point over the board" pattern).
-type envBundle struct{ envs []envelope }
-
-func (b envBundle) wireSize() int {
-	s := 0
-	for _, e := range b.envs {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (b envBundle) encodeWire(p *Params) ([]byte, error) {
-	return appendEnvelopes(p, make([]byte, 0, b.wireSize()), b.envs)
-}
-
-// reencPayload is the OffRe committee's single broadcast: Re-encrypt
-// envelopes for input-wire λ's (Step 5), packed shares (Step 6), and the
-// tsk resharing for OnC1.
-type reencPayload struct {
-	inputs  map[int]envelope   // input gate index → envelope to client KFF
-	left    map[int][]envelope // batch → per-target-index envelope
-	right   map[int][]envelope
-	gamma   map[int][]envelope
-	reshare []envelope
-}
-
-func (p reencPayload) wireSize() int {
-	s := 0
-	for _, e := range p.inputs {
-		s += e.Ct.Size()
-	}
-	for _, envs := range p.left {
-		for _, e := range envs {
-			s += e.Ct.Size()
-		}
-	}
-	for _, envs := range p.right {
-		for _, e := range envs {
-			s += e.Ct.Size()
-		}
-	}
-	for _, envs := range p.gamma {
-		for _, e := range envs {
-			s += e.Ct.Size()
-		}
-	}
-	for _, e := range p.reshare {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (p reencPayload) encodeWire(pp *Params) ([]byte, error) {
-	out := make([]byte, 0, p.wireSize())
-	var err error
-	for _, gi := range sortedKeys(p.inputs) {
-		if out, err = appendEnvelopes(pp, out, []envelope{p.inputs[gi]}); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range []map[int][]envelope{p.left, p.right, p.gamma} {
-		for _, bi := range sortedKeys(m) {
-			if out, err = appendEnvelopes(pp, out, m[bi]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return appendEnvelopes(pp, out, p.reshare)
-}
-
 // offReSpeak runs the OffRe committee (offline Steps 5 and 6): each
-// member reconstructs its tsk share, posts partial decryptions of every
-// value being re-encrypted — each encrypted under the recipient's KFF
-// public key — and reshares tsk to the bridging committee. Every target
-// key is known during the offline phase, so this speak happens entirely
-// before inputs exist (it is called from offline()).
+// member reconstructs its tsk share, re-encrypts every input-wire λ and
+// packed share to its reader's KFF, and reshares tsk to the bridging
+// committee. Every target key is known during the offline phase, so this
+// speak happens entirely before inputs exist (it is called from
+// offline()).
 func (r *run) offReSpeak() error {
-	p := r.p.params
-	te := p.TE
 	shares, err := r.recoverShares(r.offRe, comm.PhaseOffline)
 	if err != nil {
 		return err
 	}
-	if p.NoKFF {
+	if r.p.params.NoKFF {
 		// §3.2 naive ablation: nothing to re-encrypt yet (the online
 		// role keys do not exist and there are no KFFs) — OffRe only
 		// passes tsk onward; OnC1 will pay the re-encryption online.
-		posts, err := r.tskCommitteeSpeak(r.offRe, shares, comm.PhaseOffline,
-			"steps-5-6-nokff", nil, r.offBridge,
-			func(i int) pke.PublicKey { return r.offBridge.Role(i).PublicKey() })
-		if err != nil {
-			return err
-		}
-		r.storeHandoff("offBridge", posts)
-		return nil
+		_, err := r.tskStep(r.offRe, shares, comm.PhaseOffline, comm.CatPartial,
+			"steps-5-6-nokff", nil, nil, r.offBridge)
+		return err
 	}
-	gates := r.p.circ.Gates()
+	return r.reencrypt(r.offRe, shares, comm.PhaseOffline, "steps-5-6",
+		func(client int) pke.PublicKey { return r.kffClient[client].pub },
+		func(layer, target int) pke.PublicKey { return r.kffLayer[layer-1][target].pub },
+		r.offBridge)
+}
 
-	// Per-member work item list: (ciphertext, target KFF key).
-	type item struct {
-		ct  tte.Ciphertext
-		key pke.PublicKey
-	}
-	var inputItems []item
-	var inputGateIdx []int
+// reencrypt is the Re-encrypt step: committee c opens every input-wire λ
+// to its client's key and every packed share (offline Step 4) to the key
+// of layer role target+1, then reshares tsk to next. OffRe runs it
+// offline towards the KFFs; in the §3.2 naive ablation OnC1 runs it
+// online towards the role keys, the Θ(n²·batches) communication the KFF
+// machinery moves offline. Each message's envs are the input λ's in
+// client order, then per batch the left, right and Γ shares in target
+// order, then the reshares.
+func (r *run) reencrypt(c *yoso.Committee, shares []tte.KeyShare, phase comm.Phase, label string,
+	clientKey func(client int) pke.PublicKey, layerKey func(layer, target int) pke.PublicKey,
+	next *yoso.Committee) error {
+	gates := r.p.circ.Gates()
+	var items []sealed
+	var inputGates []int
 	for _, client := range r.p.circ.Clients() {
 		for _, gi := range r.p.circ.InputGates(client) {
-			kff := r.kffClient[client]
-			inputItems = append(inputItems, item{ct: r.wireCt[gates[gi].Out], key: kff.pub})
-			inputGateIdx = append(inputGateIdx, gi)
+			items = append(items, sealed{ct: r.wireCt[gates[gi].Out], key: clientKey(client)})
+			inputGates = append(inputGates, gi)
 		}
 	}
-
-	nEnvs := len(inputItems) + 3*len(r.batches)*p.N + p.N
-	garbSize := nEnvs * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.offRe, comm.PhaseOffline, comm.CatReencrypt, "steps-5-6",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
+	for _, b := range r.batches {
+		for _, packed := range b.packed {
+			for target, ct := range packed {
+				items = append(items, sealed{ct: ct, key: layerKey(b.Layer, target)})
 			}
-			payload := reencPayload{
-				inputs: map[int]envelope{},
-				left:   map[int][]envelope{},
-				right:  map[int][]envelope{},
-				gamma:  map[int][]envelope{},
-			}
-			from := r.offRe.Role(i).Name()
-			seal := pke.NewSealer(p.PKE)
-			encPartial := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return envelope{}, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return envelope{}, err
-				}
-				env, err := seal.Encrypt(key, data)
-				if err != nil {
-					return envelope{}, err
-				}
-				return envelope{From: from, To: to, Ct: env}, nil
-			}
-			// Step 5: input-wire λ's to client KFFs.
-			for j, it := range inputItems {
-				env, err := encPartial(it.ct, it.key, fmt.Sprintf("client-kff/%d", j))
-				if err != nil {
-					return nil, err
-				}
-				payload.inputs[inputGateIdx[j]] = env
-			}
-			// Step 6: packed shares to the layer roles' KFFs.
-			for bi, b := range r.batches {
-				kffs := r.kffLayer[b.Layer-1]
-				for target := 0; target < p.N; target++ {
-					le, err := encPartial(b.packedLeft[target], kffs[target].pub, "layer-kff")
-					if err != nil {
-						return nil, err
-					}
-					re, err := encPartial(b.packedRight[target], kffs[target].pub, "layer-kff")
-					if err != nil {
-						return nil, err
-					}
-					ge, err := encPartial(b.packedGamma[target], kffs[target].pub, "layer-kff")
-					if err != nil {
-						return nil, err
-					}
-					payload.left[bi] = append(payload.left[bi], le)
-					payload.right[bi] = append(payload.right[bi], re)
-					payload.gamma[bi] = append(payload.gamma[bi], ge)
-				}
-			}
-			// Reshare tsk to the bridging committee's role keys.
-			subs, err := te.Reshare(r.tpk, sh)
-			if err != nil {
-				return nil, err
-			}
-			for _, sub := range subs {
-				data, err := te.EncodeSubShare(sub)
-				if err != nil {
-					return nil, err
-				}
-				env, err := seal.Encrypt(r.offBridge.Role(sub.To()).PublicKey(), data)
-				if err != nil {
-					return nil, err
-				}
-				payload.reshare = append(payload.reshare, envelope{
-					From: from, To: fmt.Sprintf("offBridge/%d", sub.To()), Ct: env,
-				})
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
+		}
+	}
+	posts, err := r.tskStep(c, shares, phase, comm.CatReencrypt, label, nil, items, next)
 	if err != nil {
 		return err
 	}
-
-	// File the verified envelopes for their recipients.
-	byTarget := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(reencPayload)
-		if !ok {
-			continue
+	for _, m := range posts {
+		for j, gi := range inputGates {
+			r.inputEnv[gi] = append(r.inputEnv[gi], m.envs[j])
 		}
-		for gi, env := range payload.inputs {
-			r.inputEnv[gi] = append(r.inputEnv[gi], env)
-		}
-		for bi, envs := range payload.left {
-			b := r.batches[bi]
-			if b.envLeft == nil {
-				b.envLeft = make([][]envelope, p.N)
-				b.envRight = make([][]envelope, p.N)
-				b.envGamma = make([][]envelope, p.N)
-			}
-			for target, env := range envs {
-				b.envLeft[target] = append(b.envLeft[target], env)
-			}
-			for target, env := range payload.right[bi] {
-				b.envRight[target] = append(b.envRight[target], env)
-			}
-			for target, env := range payload.gamma[bi] {
-				b.envGamma[target] = append(b.envGamma[target], env)
-			}
-		}
-		for _, env := range payload.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, "offBridge/%d", &idx); err == nil {
-				byTarget[idx] = append(byTarget[idx], env)
+		envs := m.envs[len(inputGates):]
+		for _, b := range r.batches {
+			for kind, packed := range b.packed {
+				if b.env[kind] == nil {
+					b.env[kind] = make([][]pke.Ciphertext, len(packed))
+				}
+				for target := range packed {
+					b.env[kind][target] = append(b.env[kind][target], envs[0])
+					envs = envs[1:]
+				}
 			}
 		}
 	}
-	r.handoffs["offBridge"] = byTarget
 	return nil
 }
 
@@ -333,310 +159,51 @@ func (r *run) offBridgeSpeak() error {
 	if err != nil {
 		return err
 	}
-	posts, err := r.tskCommitteeSpeak(r.offBridge, shares, comm.PhaseOffline,
-		"tsk-bridge", nil, r.onC1, func(i int) pke.PublicKey { return r.onC1.Role(i).PublicKey() })
-	if err != nil {
-		return err
-	}
-	r.storeHandoff("onC1", posts)
-	return nil
-}
-
-// kffDelivery is OnC1's broadcast: for every KFF owner, the partial
-// decryptions of its KFF secret, re-encrypted under the owner's role key,
-// plus the tsk resharing for the output committee.
-type kffDelivery struct {
-	layer   map[[2]int]envelope // {layer, index-1} → envelope
-	client  map[int]envelope
-	reshare []envelope
-}
-
-func (d kffDelivery) wireSize() int {
-	s := 0
-	for _, e := range d.layer {
-		s += e.Ct.Size()
-	}
-	for _, e := range d.client {
-		s += e.Ct.Size()
-	}
-	for _, e := range d.reshare {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (d kffDelivery) encodeWire(p *Params) ([]byte, error) {
-	lkeys := make([][2]int, 0, len(d.layer))
-	for k := range d.layer {
-		lkeys = append(lkeys, k)
-	}
-	sort.Slice(lkeys, func(i, j int) bool {
-		if lkeys[i][0] != lkeys[j][0] {
-			return lkeys[i][0] < lkeys[j][0]
-		}
-		return lkeys[i][1] < lkeys[j][1]
-	})
-	out := make([]byte, 0, d.wireSize())
-	var err error
-	for _, k := range lkeys {
-		if out, err = appendEnvelopes(p, out, []envelope{d.layer[k]}); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range sortedKeys(d.client) {
-		if out, err = appendEnvelopes(p, out, []envelope{d.client[id]}); err != nil {
-			return nil, err
-		}
-	}
-	return appendEnvelopes(p, out, d.reshare)
+	_, err = r.tskStep(r.offBridge, shares, comm.PhaseOffline, comm.CatPartial, "tsk-bridge", nil, nil, r.onC1)
+	return err
 }
 
 // onC1Speak is the online "future key distribution": OnC1 re-encrypts each
 // KFF secret key towards the owner's role-assignment key, and reshares tsk
-// to OnOut (needed for output delivery).
+// to OnOut (needed for output delivery). Each message's envs are the layer
+// KFFs in (layer, index) order, then the client KFFs in client order,
+// then the reshares. In the NoKFF ablation OnC1 runs the Re-encrypt step
+// towards the role keys instead.
 func (r *run) onC1Speak() error {
-	p := r.p.params
-	te := p.TE
 	shares, err := r.recoverShares(r.onC1, comm.PhaseOnline)
 	if err != nil {
 		return err
 	}
-	if p.NoKFF {
-		return r.onC1SpeakNoKFF(shares)
+	if r.p.params.NoKFF {
+		return r.reencrypt(r.onC1, shares, comm.PhaseOnline, "online-reencrypt-nokff",
+			func(client int) pke.PublicKey { return r.clients[client].role.PublicKey() },
+			func(layer, target int) pke.PublicKey { return r.layers[layer-1].Role(target + 1).PublicKey() },
+			r.onOut)
 	}
-	nKff := len(r.kffClient)
-	for _, kl := range r.kffLayer {
-		nKff += len(kl)
+	var items []sealed
+	var entries []*kffEntry
+	for l, kl := range r.kffLayer {
+		for j := range kl {
+			items = append(items, sealed{ct: kl[j].secretCt, key: r.layers[l].Role(j + 1).PublicKey()})
+			entries = append(entries, &kl[j])
+		}
 	}
-	garbSize := (nKff + p.N) * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.onC1, comm.PhaseOnline, comm.CatKFF, "future-key-distribution",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			from := r.onC1.Role(i).Name()
-			payload := kffDelivery{layer: map[[2]int]envelope{}, client: map[int]envelope{}}
-			seal := pke.NewSealer(p.PKE)
-			encTo := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return envelope{}, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return envelope{}, err
-				}
-				env, err := seal.Encrypt(key, data)
-				if err != nil {
-					return envelope{}, err
-				}
-				return envelope{From: from, To: to, Ct: env}, nil
-			}
-			for l, kl := range r.kffLayer {
-				for j := range kl {
-					owner := r.layers[l].Role(j + 1)
-					env, err := encTo(kl[j].secretCt, owner.PublicKey(), owner.Name())
-					if err != nil {
-						return nil, err
-					}
-					payload.layer[[2]int{l, j}] = env
-				}
-			}
-			for id, kff := range r.kffClient {
-				env, err := encTo(kff.secretCt, r.clients[id].role.PublicKey(), fmt.Sprintf("client/%d", id))
-				if err != nil {
-					return nil, err
-				}
-				payload.client[id] = env
-			}
-			subs, err := te.Reshare(r.tpk, sh)
-			if err != nil {
-				return nil, err
-			}
-			for _, sub := range subs {
-				data, err := te.EncodeSubShare(sub)
-				if err != nil {
-					return nil, err
-				}
-				env, err := seal.Encrypt(r.onOut.Role(sub.To()).PublicKey(), data)
-				if err != nil {
-					return nil, err
-				}
-				payload.reshare = append(payload.reshare, envelope{
-					From: from, To: fmt.Sprintf("onOut/%d", sub.To()), Ct: env,
-				})
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
+	for _, id := range r.p.circ.Clients() {
+		if kff := r.kffClient[id]; kff != nil {
+			items = append(items, sealed{ct: kff.secretCt, key: r.clients[id].role.PublicKey()})
+			entries = append(entries, kff)
+		}
+	}
+	posts, err := r.tskStep(r.onC1, shares, comm.PhaseOnline, comm.CatKFF, "future-key-distribution",
+		nil, items, r.onOut)
 	if err != nil {
 		return err
 	}
-
-	byTarget := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(kffDelivery)
-		if !ok {
-			continue
-		}
-		for key, env := range payload.layer {
-			r.kffLayer[key[0]][key[1]].delivered = append(r.kffLayer[key[0]][key[1]].delivered, env)
-		}
-		for id, env := range payload.client {
-			r.kffClient[id].delivered = append(r.kffClient[id].delivered, env)
-		}
-		for _, env := range payload.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, "onOut/%d", &idx); err == nil {
-				byTarget[idx] = append(byTarget[idx], env)
-			}
+	for _, m := range posts {
+		for j, entry := range entries {
+			entry.delivered = append(entry.delivered, m.envs[j])
 		}
 	}
-	r.handoffs["onOut"] = byTarget
-	return nil
-}
-
-// onC1SpeakNoKFF is the §3.2 naive ablation's online step: OnC1 uses its
-// tsk shares to re-encrypt every packed share to the layer roles' role
-// keys and every input-wire λ to the client keys — the Θ(n²·batches)
-// communication the KFF machinery moves offline — then reshares tsk to
-// the output committee.
-func (r *run) onC1SpeakNoKFF(shares []tte.KeyShare) error {
-	p := r.p.params
-	te := p.TE
-	gates := r.p.circ.Gates()
-	type item struct {
-		ct  tte.Ciphertext
-		key pke.PublicKey
-	}
-	var inputItems []item
-	var inputGateIdx []int
-	for _, client := range r.p.circ.Clients() {
-		for _, gi := range r.p.circ.InputGates(client) {
-			inputItems = append(inputItems, item{ct: r.wireCt[gates[gi].Out], key: r.clients[client].role.PublicKey()})
-			inputGateIdx = append(inputGateIdx, gi)
-		}
-	}
-	nEnvs := len(inputItems) + 3*len(r.batches)*p.N + p.N
-	garbSize := nEnvs * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.onC1, comm.PhaseOnline, comm.CatReencrypt, "online-reencrypt-nokff",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			payload := reencPayload{
-				inputs: map[int]envelope{},
-				left:   map[int][]envelope{},
-				right:  map[int][]envelope{},
-				gamma:  map[int][]envelope{},
-			}
-			from := r.onC1.Role(i).Name()
-			seal := pke.NewSealer(p.PKE)
-			encPartial := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return envelope{}, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return envelope{}, err
-				}
-				env, err := seal.Encrypt(key, data)
-				if err != nil {
-					return envelope{}, err
-				}
-				return envelope{From: from, To: to, Ct: env}, nil
-			}
-			for j, it := range inputItems {
-				env, err := encPartial(it.ct, it.key, "client")
-				if err != nil {
-					return nil, err
-				}
-				payload.inputs[inputGateIdx[j]] = env
-			}
-			for bi, b := range r.batches {
-				layer := r.layers[b.Layer-1]
-				for target := 0; target < p.N; target++ {
-					key := layer.Role(target + 1).PublicKey()
-					le, err := encPartial(b.packedLeft[target], key, "layer-role")
-					if err != nil {
-						return nil, err
-					}
-					re, err := encPartial(b.packedRight[target], key, "layer-role")
-					if err != nil {
-						return nil, err
-					}
-					ge, err := encPartial(b.packedGamma[target], key, "layer-role")
-					if err != nil {
-						return nil, err
-					}
-					payload.left[bi] = append(payload.left[bi], le)
-					payload.right[bi] = append(payload.right[bi], re)
-					payload.gamma[bi] = append(payload.gamma[bi], ge)
-				}
-			}
-			subs, err := te.Reshare(r.tpk, sh)
-			if err != nil {
-				return nil, err
-			}
-			for _, sub := range subs {
-				data, err := te.EncodeSubShare(sub)
-				if err != nil {
-					return nil, err
-				}
-				env, err := seal.Encrypt(r.onOut.Role(sub.To()).PublicKey(), data)
-				if err != nil {
-					return nil, err
-				}
-				payload.reshare = append(payload.reshare, envelope{
-					From: from, To: fmt.Sprintf("onOut/%d", sub.To()), Ct: env,
-				})
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
-	if err != nil {
-		return err
-	}
-
-	byTarget := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(reencPayload)
-		if !ok {
-			continue
-		}
-		for gi, env := range payload.inputs {
-			r.inputEnv[gi] = append(r.inputEnv[gi], env)
-		}
-		for bi, envs := range payload.left {
-			b := r.batches[bi]
-			if b.envLeft == nil {
-				b.envLeft = make([][]envelope, p.N)
-				b.envRight = make([][]envelope, p.N)
-				b.envGamma = make([][]envelope, p.N)
-			}
-			for target, env := range envs {
-				b.envLeft[target] = append(b.envLeft[target], env)
-			}
-			for target, env := range payload.right[bi] {
-				b.envRight[target] = append(b.envRight[target], env)
-			}
-			for target, env := range payload.gamma[bi] {
-				b.envGamma[target] = append(b.envGamma[target], env)
-			}
-		}
-		for _, env := range payload.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, "onOut/%d", &idx); err == nil {
-				byTarget[idx] = append(byTarget[idx], env)
-			}
-		}
-	}
-	r.handoffs["onOut"] = byTarget
 	return nil
 }
 
@@ -651,15 +218,6 @@ func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey, phase comm.Phase) 
 	buf := make([]byte, pke.SecretKeySize)
 	v.FillBytes(buf)
 	return r.p.params.PKE.SecretKeyFromBytes(buf)
-}
-
-// muBundle is a client's or layer role's broadcast of μ openings/shares.
-type muBundle struct{ vals []field.Element }
-
-func (m muBundle) wireSize() int { return len(m.vals) * field.ElementSize }
-
-func (m muBundle) encodeWire(*Params) ([]byte, error) {
-	return field.AppendVecBytes(make([]byte, 0, m.wireSize()), m.vals), nil
 }
 
 // onlineInput has every client open λ^α for each of its input wires (via
@@ -694,8 +252,7 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			mus[j] = inputs[client][j].Sub(lambda)
 		}
 		ok, err := r.eng.Speak(cs.role, r.stepOf(comm.PhaseOnline, comm.CatInput, "client-input",
-			func(int) (sized, error) { return muBundle{vals: mus}, nil },
-			func(int) sized { return garbage{size: len(mus) * field.ElementSize} }))
+			func(int) (stepMsg, error) { return stepMsg{mus: mus}, nil }, yoso.Shape{Elems: len(mus)}))
 		if err != nil {
 			return err
 		}
@@ -793,7 +350,7 @@ func (r *run) onlineLayer(l int) error {
 		constDoms[bi] = cd
 	}
 
-	computeShares := func(i int) (sized, error) {
+	computeShares := func(i int) (stepMsg, error) {
 		role := c.Role(i)
 		shareKey := role.SecretKey()
 		keyClass := KeyRole
@@ -801,34 +358,30 @@ func (r *run) onlineLayer(l int) error {
 			kff := &r.kffLayer[l][i-1]
 			kffSK, err := r.openKFF(kff, role.SecretKey(), comm.PhaseOnline)
 			if err != nil {
-				return nil, err
+				return stepMsg{}, err
 			}
 			shareKey = kffSK
 			keyClass = KeyKFF
 		}
 		vals := make([]field.Element, len(layerBatches))
 		for bi, b := range layerBatches {
-			lamA, err := r.combineEnvelopes(shareKey, b.envLeft[i-1], b.packedLeft[i-1])
-			if err != nil {
-				return nil, err
-			}
-			lamB, err := r.combineEnvelopes(shareKey, b.envRight[i-1], b.packedRight[i-1])
-			if err != nil {
-				return nil, err
-			}
-			lamG, err := r.combineEnvelopes(shareKey, b.envGamma[i-1], b.packedGamma[i-1])
-			if err != nil {
-				return nil, err
+			var lam [3]field.Element
+			for kind := range lam {
+				v, err := r.combineEnvelopes(shareKey, b.env[kind][i-1], b.packed[kind][i-1])
+				if err != nil {
+					return stepMsg{}, err
+				}
+				lam[kind] = reduceToField(v)
 			}
 			r.p.audit.Record(comm.PhaseOnline, ValPackedShare, keyClass)
-			la, lb, lg := reduceToField(lamA), reduceToField(lamB), reduceToField(lamG)
+			la, lb, lg := lam[0], lam[1], lam[2]
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {
-				return nil, err
+				return stepMsg{}, err
 			}
 			sb, err := constDoms[bi].Share(muRight[bi], i)
 			if err != nil {
-				return nil, err
+				return stepMsg{}, err
 			}
 			// μ_i^γ = μ_i^α·μ_i^β + μ_i^α·λ_i^β + μ_i^β·λ_i^α + λ_i^Γ.
 			vals[bi] = sa.Value.Mul(sb.Value).
@@ -836,25 +389,25 @@ func (r *run) onlineLayer(l int) error {
 				Add(sb.Value.Mul(la)).
 				Add(lg)
 		}
-		return muBundle{vals: vals}, nil
+		return stepMsg{mus: vals}, nil
 	}
 
-	// The Robust (§5.3 IT-GOD) path posts bare shares without proofs:
-	// malicious members post uniformly random lies (type-correct —
-	// anything else would be trivially discardable) and Berlekamp–Welch
-	// decodes up to t of them out.
-	malicious := func(int) sized { return garbage{size: len(layerBatches) * field.ElementSize} }
+	step := r.stepOf(comm.PhaseOnline, comm.CatMu, fmt.Sprintf("mu-layer%d", l+1), computeShares,
+		yoso.Shape{Elems: len(layerBatches)})
 	if p.Robust {
-		malicious = func(int) sized {
-			lies := make([]field.Element, len(layerBatches))
-			for j := range lies {
-				lies[j] = field.MustRandom()
+		// The Robust (§5.3 IT-GOD) path posts bare shares without proofs:
+		// malicious members post uniformly random lies (type-correct —
+		// anything else would be trivially discardable) and
+		// Berlekamp–Welch decodes up to t of them out.
+		step.NoProofs = true
+		step.Malicious = func(int) (yoso.Msg, error) {
+			lies := stepMsg{mus: make([]field.Element, len(layerBatches))}
+			for j := range lies.mus {
+				lies.mus[j] = field.MustRandom()
 			}
-			return muBundle{vals: lies}
+			return r.msg(lies)
 		}
 	}
-	step := r.stepOf(comm.PhaseOnline, comm.CatMu, fmt.Sprintf("mu-layer%d", l+1), computeShares, malicious)
-	step.NoProofs = p.Robust
 	posts, err := r.eng.Run(r.stepParent(), c, step)
 	if err != nil {
 		return err
@@ -871,7 +424,7 @@ func (r *run) onlineLayer(l int) error {
 			if !ok {
 				continue
 			}
-			shares = append(shares, sharing.Share{Index: i, Value: raw.(muBundle).vals[bi]})
+			shares = append(shares, sharing.Share{Index: i, Value: raw.(stepMsg).mus[bi]})
 		}
 		degree := p.T + 2*(b.k-1)
 		var muGamma []field.Element
@@ -893,36 +446,9 @@ func (r *run) onlineLayer(l int) error {
 	return nil
 }
 
-// outputPayload is OnOut's broadcast: Re-encrypt* envelopes of output-wire
-// λ's under the receiving clients' keys (no further tsk resharing).
-type outputPayload struct {
-	envs map[int]envelope // output gate index → envelope
-}
-
-func (o outputPayload) wireSize() int {
-	s := 0
-	for _, e := range o.envs {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (o outputPayload) encodeWire(p *Params) ([]byte, error) {
-	out := make([]byte, 0, o.wireSize())
-	var err error
-	for _, gi := range sortedKeys(o.envs) {
-		if out, err = appendEnvelopes(p, out, []envelope{o.envs[gi]}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // onlineOutput re-encrypts each output wire's λ to its client, who opens
 // v = μ + λ.
 func (r *run) onlineOutput() (map[int][]field.Element, error) {
-	p := r.p.params
-	te := p.TE
 	gates := r.p.circ.Gates()
 	shares, err := r.recoverShares(r.onOut, comm.PhaseOnline)
 	if err != nil {
@@ -934,62 +460,30 @@ func (r *run) onlineOutput() (map[int][]field.Element, error) {
 		wire   circuit.WireID
 	}
 	var outs []outGate
+	var items []sealed
 	for _, client := range r.p.circ.Clients() {
 		for _, gi := range r.p.circ.OutputGates(client) {
 			outs = append(outs, outGate{gi: gi, client: client, wire: gates[gi].A})
+			items = append(items, sealed{ct: r.wireCt[gates[gi].A], key: r.clients[client].role.PublicKey()})
 		}
 	}
-	garbSize := len(outs) * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.onOut, comm.PhaseOnline, comm.CatOutput, "output",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			from := r.onOut.Role(i).Name()
-			payload := outputPayload{envs: map[int]envelope{}}
-			seal := pke.NewSealer(p.PKE)
-			for _, og := range outs {
-				part, err := te.PartialDecrypt(r.tpk, sh, r.wireCt[og.wire])
-				if err != nil {
-					return nil, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return nil, err
-				}
-				env, err := seal.Encrypt(r.clients[og.client].role.PublicKey(), data)
-				if err != nil {
-					return nil, err
-				}
-				payload.envs[og.gi] = envelope{From: from, To: fmt.Sprintf("client/%d", og.client), Ct: env}
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
+	// Each message's envs are the output λ's in client order.
+	posts, err := r.tskStep(r.onOut, shares, comm.PhaseOnline, comm.CatOutput, "output", nil, items, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	byGate := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(outputPayload)
-		if !ok {
-			continue
-		}
-		for gi, env := range payload.envs {
-			byGate[gi] = append(byGate[gi], env)
-		}
-	}
-
 	outputs := map[int][]field.Element{}
-	for _, og := range outs {
+	for j, og := range outs {
 		if !r.muKnown[og.wire] {
 			return nil, fmt.Errorf("core: output wire %d has no public μ", og.wire)
 		}
 		cs := r.clients[og.client]
-		lamInt, err := r.combineEnvelopes(clientSecret(cs), byGate[og.gi], r.wireCt[og.wire])
+		envs := make([]pke.Ciphertext, len(posts))
+		for i, m := range posts {
+			envs[i] = m.envs[j]
+		}
+		lamInt, err := r.combineEnvelopes(clientSecret(cs), envs, r.wireCt[og.wire])
 		if err != nil {
 			return nil, fmt.Errorf("output gate %d: %w", og.gi, err)
 		}

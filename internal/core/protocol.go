@@ -95,13 +95,6 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	return prepared.Execute(inputs)
 }
 
-// envelope is an addressed (PKE-encrypted) message on the board.
-type envelope struct {
-	From string
-	To   string
-	Ct   pke.Ciphertext
-}
-
 // beaverTriple holds the tpk-encrypted triple of one multiplication gate.
 type beaverTriple struct {
 	a, b, c tte.Ciphertext
@@ -117,13 +110,13 @@ type batchState struct {
 	// helpers[kind][j] are the summed helper encryptions for packing
 	// (kind 0 = left λ, 1 = right λ, 2 = Γ), t per vector.
 	helpers [][]tte.Ciphertext
-	// packedLeft/packedRight/packedGamma are the per-index packed-share
-	// ciphertexts under tpk (offline Step 4).
-	packedLeft, packedRight, packedGamma []tte.Ciphertext
-	// envLeft/envRight/envGamma[i] are the Re-encrypt envelope sets
-	// addressed to online role i+1's KFF (offline Step 6): one envelope
-	// per OffRe member carrying a partial decryption.
-	envLeft, envRight, envGamma [][]envelope
+	// packed[kind] are the per-index packed-share ciphertexts under tpk
+	// (offline Step 4), kind 0 = left λ, 1 = right λ, 2 = Γ.
+	packed [3][]tte.Ciphertext
+	// env[kind][i] is the Re-encrypt envelope set addressed to online
+	// role i+1's KFF (offline Step 6): one envelope per accepted member
+	// of the re-encrypting committee, carrying a partial decryption.
+	env [3][][]pke.Ciphertext
 }
 
 // run is the mutable state of one protocol execution.
@@ -151,9 +144,9 @@ type run struct {
 	// the driver executes that committee's step; the dealer's epoch-0
 	// shares go to offDec.
 	offDecShares []tte.KeyShare
-	// handoffs[committee name][target index] collects encrypted tsk
-	// subshares addressed to that committee's members.
-	handoffs map[string]map[int][]envelope
+	// handoffs[committee name][i-1] collects the sealed tsk subshares
+	// addressed to that committee's member i.
+	handoffs map[string][][]pke.Ciphertext
 
 	// keys-for-future: one per online mul-layer role and one per client
 	kffLayer  [][]kffEntry // [layer][index-1]
@@ -173,7 +166,7 @@ type run struct {
 
 	// input-wire λ envelopes: for each input gate index, the Re-encrypt
 	// envelopes addressed to the owning client's KFF.
-	inputEnv map[int][]envelope
+	inputEnv map[int][]pke.Ciphertext
 
 	// public μ values per wire
 	mu      []field.Element
@@ -181,6 +174,8 @@ type run struct {
 
 	// eng runs every speaking step and records the excluded roles.
 	eng yoso.Engine
+	// w sizes every step message and every malicious member's lie.
+	w yoso.Widths
 
 	// telemetry (all nil when disabled — every use is a nil-receiver
 	// no-op, so the hot paths stay allocation-free without branching)
@@ -201,49 +196,55 @@ type clientState struct {
 type kffEntry struct {
 	pub       pke.PublicKey
 	secretCt  tte.Ciphertext
-	delivered []envelope // partial-decryption envelopes under the owner's role key
+	delivered []pke.Ciphertext // partial-decryption envelopes under the owner's role key
 }
 
 // --- shared helpers ---------------------------------------------------
 
-// sized is implemented by step payloads: wireSize is the modelled encoded
-// length (the costmodel anchor) and encodeWire produces the actual bytes
-// that go on the board. stepOf cross-checks the two per message, so the
-// self-reported accounting can never drift from what really travels.
-type sized interface {
-	wireSize() int
-	encodeWire(p *Params) ([]byte, error)
+// stepMsg is one speaker's message: flat slices that encode as
+// cts ‖ parts ‖ envs ‖ mus. Each step fixes the order within every slice,
+// so consumers read an item by its position (docs/WIRE.md lists the
+// layouts); envs ends with the tsk hand-off, member j's subshare at
+// len(envs)-n+j-1.
+type stepMsg struct {
+	cts   []tte.Ciphertext
+	parts []tte.PartialDec
+	envs  []pke.Ciphertext
+	mus   []field.Element
 }
 
-// encodePost produces a payload's wire bytes and verifies them against the
-// modelled wireSize. A mismatch is a codec/costmodel bug, surfaced as an
-// error rather than silently mis-metered. It deliberately takes only the
-// codec-bearing Params, never run state: everything a payload encodes is
-// already public (ciphertexts, proofs, masked openings).
-func encodePost(p *Params, payload sized) ([]byte, error) {
-	enc, err := payload.encodeWire(p)
-	if err != nil {
-		return nil, fmt.Errorf("encoding %T: %w", payload, err)
+// encode produces the message's board bytes in one buffer, sized from
+// the item widths. It takes only the codecs and the widths, never secret
+// run state: everything a message encodes is public (ciphertexts,
+// partials of openings, sealed envelopes, masked openings).
+func (m stepMsg) encode(p *Params, w yoso.Widths) ([]byte, error) {
+	size := w.Of(yoso.Shape{Cts: len(m.cts), Parts: len(m.parts), Elems: len(m.mus)})
+	for _, e := range m.envs {
+		size += e.Size()
 	}
-	if len(enc) != payload.wireSize() {
-		return nil, fmt.Errorf("core: %T encodes to %d bytes but models wireSize %d",
-			payload, len(enc), payload.wireSize())
-	}
-	return enc, nil
-}
-
-// appendEnvelopes appends each envelope's sealed-ciphertext encoding to dst.
-// The From/To routing is driver bookkeeping kept in memory; only the PKE
-// ciphertext travels on the board.
-func appendEnvelopes(p *Params, dst []byte, envs []envelope) ([]byte, error) {
-	for _, e := range envs {
-		enc, err := p.PKE.EncodeCiphertext(e.Ct)
+	out := make([]byte, 0, size)
+	for _, ct := range m.cts {
+		enc, err := p.TE.EncodeCiphertext(ct)
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, enc...)
+		out = append(out, enc...)
 	}
-	return dst, nil
+	for _, part := range m.parts {
+		enc, err := p.TE.EncodePartial(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, enc...)
+	}
+	for _, e := range m.envs {
+		enc, err := p.PKE.EncodeCiphertext(e)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, enc...)
+	}
+	return field.AppendVecBytes(out, m.mus), nil
 }
 
 // logStep emits a structured progress event when a logger is configured.
@@ -331,36 +332,49 @@ func (r *run) pfor(n int, fn func(i int) error) error {
 // workers resolves the run's worker-pool size (see Params.Workers).
 func (r *run) workers() int { return r.p.params.EffectiveWorkers() }
 
-// stepOf builds an engine step from core's payloads: each message goes
-// on the board as its encodePost bytes, so a codec/costmodel mismatch
-// fails the speaker.
+// stepOf builds an engine step from core's messages: honest members post
+// their encoded message, malicious members a lie as wide as a message of
+// shape lie.
 func (r *run) stepOf(phase comm.Phase, cat comm.Category, label string,
-	honest func(i int) (sized, error), malicious func(i int) sized) yoso.Step {
-	encode := func(payload sized) (yoso.Msg, error) {
-		enc, err := encodePost(&r.p.params, payload)
-		return yoso.Msg{Payload: payload, Wire: enc}, err
-	}
+	honest func(i int) (stepMsg, error), lie yoso.Shape) yoso.Step {
 	return yoso.Step{
 		Phase: phase,
 		Cat:   cat,
 		Label: label,
 		Honest: func(i int) (yoso.Msg, error) {
-			payload, err := honest(i)
+			m, err := honest(i)
 			if err != nil {
 				return yoso.Msg{}, err
 			}
-			return encode(payload)
+			return r.msg(m)
 		},
-		Malicious: func(i int) (yoso.Msg, error) { return encode(malicious(i)) },
+		Malicious: r.w.Lie(lie),
 	}
 }
 
+// msg hands m to the engine: the value the driver reads back, and the
+// bytes that go on the board.
+func (r *run) msg(m stepMsg) (yoso.Msg, error) {
+	enc, err := m.encode(&r.p.params, r.w)
+	return yoso.Msg{Payload: m, Wire: enc}, err
+}
+
 // committeeStep runs one proof-carrying committee step on the run's
-// engine and returns the verified payloads by member index; excluded
+// engine and returns the verified messages in member order; excluded
 // members land in the engine's record.
 func (r *run) committeeStep(c *yoso.Committee, phase comm.Phase, cat comm.Category, label string,
-	honest func(i int) (sized, error), malicious func(i int) sized) (map[int]any, error) {
-	return r.eng.Run(r.stepParent(), c, r.stepOf(phase, cat, label, honest, malicious))
+	honest func(i int) (stepMsg, error), lie yoso.Shape) ([]stepMsg, error) {
+	posts, err := r.eng.Run(r.stepParent(), c, r.stepOf(phase, cat, label, honest, lie))
+	if err != nil {
+		return nil, err
+	}
+	msgs := make([]stepMsg, 0, len(posts))
+	for i := 1; i <= c.N(); i++ {
+		if m, ok := posts[i]; ok {
+			msgs = append(msgs, m.(stepMsg))
+		}
+	}
+	return msgs, nil
 }
 
 // reduceToField maps a decrypted integer to the MPC field.
@@ -368,11 +382,11 @@ func reduceToField(v *big.Int) field.Element { return field.FromBig(v) }
 
 // combineEnvelopes decrypts the partial-decryption envelopes addressed to
 // `who`, decodes them, and combines them into the integer plaintext.
-func (r *run) combineEnvelopes(sk pke.SecretKey, envs []envelope, ct tte.Ciphertext) (*big.Int, error) {
+func (r *run) combineEnvelopes(sk pke.SecretKey, envs []pke.Ciphertext, ct tte.Ciphertext) (*big.Int, error) {
 	te := r.p.params.TE
 	var parts []tte.PartialDec
 	for _, env := range envs {
-		part, err := r.decryptPartial(sk, env.Ct)
+		part, err := r.decryptPartial(sk, env)
 		if err != nil {
 			// Envelope not for us or corrupted — skip; GOD relies on
 			// the honest majority of envelopes.

@@ -7,6 +7,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
+	"yosompc/internal/yoso"
 )
 
 // kffSecretBound bounds the integer encoding of a KFF secret key
@@ -32,17 +33,20 @@ func (r *run) setup() error {
 	}
 	r.tpk = tpk
 	r.offDecShares = shares
+	if r.w, err = yoso.MeasureWidths(te, p.PKE, tpk, shares[0]); err != nil {
+		return fmt.Errorf("measuring message widths: %w", err)
+	}
 	// Publishing tpk: the public key's real board announcement bytes.
 	tpkEnc, err := te.EncodePublicKey(tpk)
 	if err != nil {
 		return fmt.Errorf("encoding tpk announcement: %w", err)
 	}
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc, tpk)
+	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc)
 
 	// NIZK CRS: the authority key takes the place of the Groth–Maller crs;
 	// a 32-byte digest of the label stands in for the crs bytes.
 	crs := sha256.Sum256([]byte("nizkaok-crs"))
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, crs[:], "nizkaok-crs")
+	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, crs[:])
 
 	// Known parties (clients). They are long-lived machines: their single
 	// *input-role* broadcast is still enforced, but their keys survive to
@@ -107,6 +111,6 @@ func (r *run) newKFF(owner string) (*kffEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encoding KFF ciphertext for %s: %w", owner, err)
 	}
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, append(pub.Bytes(), ctEnc...), pub)
+	r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, append(pub.Bytes(), ctEnc...))
 	return &kffEntry{pub: pub, secretCt: ct}, nil
 }

@@ -9,7 +9,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,12 +33,9 @@ type Posting struct {
 	Trace TraceContext
 	// Size is the metered wire size in bytes — always len(Bytes).
 	Size int
-	// Bytes is the message's binary encoding, the authoritative wire
-	// artifact (docs/WIRE.md). Consumers must treat it as immutable.
+	// Bytes is the message's binary encoding, the only form a posting
+	// takes (docs/WIRE.md). Consumers must treat it as immutable.
 	Bytes []byte
-	// Payload is the in-process representation of the posted message.
-	// Consumers must treat it as immutable.
-	Payload any
 }
 
 // Board is the append-only bulletin board. It is safe for concurrent use.
@@ -98,9 +94,8 @@ func (b *Board) SetTraceSpan(id uint64) { b.span.Store(id) }
 // Post appends a posting carrying the message's binary encoding and meters
 // the measured encoded length — the posting's Size is len(wire) by
 // construction, never a caller claim. The caller must not modify wire
-// after posting. payload is the optional in-process form consumed by the
-// protocol drivers. Post returns the assigned sequence number.
-func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []byte, payload any) int {
+// after posting. Post returns the assigned sequence number.
+func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []byte) int {
 	size := len(wire)
 	b.meter.Add(phase, cat, size)
 	b.postCount.Inc()
@@ -113,7 +108,7 @@ func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []by
 	tc.PostUS, tc.RecvUS = now, now
 	tc.Proc = b.proc
 	seq := len(b.postings)
-	p := Posting{Seq: seq, From: from, Phase: phase, Category: cat, Trace: tc, Size: size, Bytes: wire, Payload: payload}
+	p := Posting{Seq: seq, From: from, Phase: phase, Category: cat, Trace: tc, Size: size, Bytes: wire}
 	b.postings = append(b.postings, p)
 	observers := b.observers
 	b.mu.Unlock()
@@ -137,16 +132,6 @@ func (b *Board) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.postings)
-}
-
-// Get returns posting seq.
-func (b *Board) Get(seq int) (Posting, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if seq < 0 || seq >= len(b.postings) {
-		return Posting{}, fmt.Errorf("transport: no posting %d (board has %d)", seq, len(b.postings))
-	}
-	return b.postings[seq], nil
 }
 
 // All returns a snapshot of all postings.

@@ -67,7 +67,7 @@ func TestServerConcurrentPostTailClose(t *testing.T) {
 	}
 }
 
-// The in-process Board under concurrent Post, Observe, Len, Get and All.
+// The in-process Board under concurrent Post, Observe, Len and All.
 func TestBoardConcurrentUse(t *testing.T) {
 	board := NewBoard(nil)
 	const posters, each = 8, 200
@@ -79,7 +79,7 @@ func TestBoardConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				board.Post("w", comm.PhaseOnline, comm.CatMu, []byte{0, 1}, nil)
+				board.Post("w", comm.PhaseOnline, comm.CatMu, []byte{0, 1})
 			}
 		}()
 	}
@@ -91,12 +91,6 @@ func TestBoardConcurrentUse(t *testing.T) {
 			for i, p := range all {
 				if p.Seq != i {
 					t.Errorf("snapshot posting %d has seq %d", i, p.Seq)
-					return
-				}
-			}
-			if len(all) > 0 {
-				if _, err := board.Get(len(all) - 1); err != nil {
-					t.Error(err)
 					return
 				}
 			}

@@ -106,9 +106,9 @@ func TestBoardTraceStamping(t *testing.T) {
 	b.SetProc("local-run")
 	b.SetTraceSpan(11)
 	before := time.Now().UnixMicro()
-	b.Post("offB1/1", comm.PhaseOffline, comm.CatBeaver, []byte{1}, nil)
+	b.Post("offB1/1", comm.PhaseOffline, comm.CatBeaver, []byte{1})
 	b.SetTraceSpan(12)
-	b.Post("offB1/2", comm.PhaseOffline, comm.CatBeaver, []byte{2}, nil)
+	b.Post("offB1/2", comm.PhaseOffline, comm.CatBeaver, []byte{2})
 	after := time.Now().UnixMicro()
 	ps := b.All()
 	if ps[0].Trace.Proc != "local-run" || ps[0].Trace.Span != 11 || ps[1].Trace.Span != 12 {

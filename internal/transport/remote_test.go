@@ -326,8 +326,8 @@ func TestAttachMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mirror.Close()
-	board.Post("off1/1", comm.PhaseOffline, comm.CatBeaver, make([]byte, 100), "payload")
-	board.Post("off1/2", comm.PhaseOffline, comm.CatBeaver, make([]byte, 200), 42)
+	board.Post("off1/1", comm.PhaseOffline, comm.CatBeaver, make([]byte, 100))
+	board.Post("off1/2", comm.PhaseOffline, comm.CatBeaver, make([]byte, 200))
 	// Local board is authoritative.
 	if board.Len() != 2 || meter.Report().Total != 300 {
 		t.Errorf("local: len=%d total=%d", board.Len(), meter.Report().Total)
@@ -357,8 +357,8 @@ func TestMirrorCountsForwardingFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = mirror.Close()
-	board.Post("r/1", comm.PhaseOnline, comm.CatMu, []byte{1, 2}, nil)
-	board.Post("r/2", comm.PhaseOnline, comm.CatMu, []byte{3}, nil)
+	board.Post("r/1", comm.PhaseOnline, comm.CatMu, []byte{1, 2})
+	board.Post("r/2", comm.PhaseOnline, comm.CatMu, []byte{3})
 	if got := mirror.Errors(); got != 2 {
 		t.Errorf("mirror.Errors() = %d, want 2", got)
 	}

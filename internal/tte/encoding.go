@@ -34,8 +34,7 @@ func (s *Threshold) EncodePartial(p PartialDec) ([]byte, error) {
 
 // DecodePartial parses a partial decryption serialized by EncodePartial.
 func (s *Threshold) DecodePartial(pk PublicKey, data []byte) (PartialDec, error) {
-	tpk, err := s.pub(pk)
-	if err != nil {
+	if _, err := s.pub(pk); err != nil {
 		return nil, err
 	}
 	fields, v, err := decodeBig(tagPartial, 2, data)
@@ -46,7 +45,6 @@ func (s *Threshold) DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
 		index: int(fields[0]),
 		epoch: int(fields[1]),
 		v:     v,
-		size:  tpk.ctBytes,
 	}, nil
 }
 
@@ -84,7 +82,7 @@ func (s *Sim) DecodePartial(_ PublicKey, data []byte) (PartialDec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simPartial{index: int(fields[0]), epoch: int(fields[1]), value: v, size: s.partSize()}, nil
+	return &simPartial{index: int(fields[0]), epoch: int(fields[1]), value: v}, nil
 }
 
 // EncodeSubShare serializes a sim subshare, padded to the modelled size.
@@ -103,7 +101,7 @@ func (s *Sim) DecodeSubShare(_ PublicKey, data []byte) (SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simSub{from: int(fields[0]), to: int(fields[1]), epoch: int(fields[2]), size: s.subSize()}, nil
+	return &simSub{from: int(fields[0]), to: int(fields[1]), epoch: int(fields[2])}, nil
 }
 
 // Codec is the serialization surface both backends provide; the protocol
@@ -115,9 +113,9 @@ type Codec interface {
 	DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
 	EncodeSubShare(s SubShare) ([]byte, error)
 	DecodeSubShare(pk PublicKey, data []byte) (SubShare, error)
-	// EncodeCiphertext serializes a ciphertext as exactly Size() bytes;
-	// DecodeCiphertext re-attaches the public plaintext bound (nil means
-	// pk.MaxPlaintext()).
+	// EncodeCiphertext serializes a ciphertext as exactly
+	// PublicKey.CiphertextSize() bytes; DecodeCiphertext re-attaches the
+	// public plaintext bound (nil means pk.MaxPlaintext()).
 	EncodeCiphertext(ct Ciphertext) ([]byte, error)
 	DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) (Ciphertext, error)
 	// EncodeKeyShare/DecodeKeyShare serialize key shares for hand-off

@@ -48,14 +48,10 @@ func (p *simPK) T() int                 { return p.t }
 func (p *simPK) CiphertextSize() int    { return p.ctBytes }
 func (p *simPK) MaxPlaintext() *big.Int { return p.maxPlain }
 
-type simShare struct {
-	index, epoch int
-	size         int
-}
+type simShare struct{ index, epoch int }
 
 func (s *simShare) Index() int { return s.index }
 func (s *simShare) Epoch() int { return s.epoch }
-func (s *simShare) Size() int  { return s.size }
 
 type simCT struct {
 	value *big.Int
@@ -64,26 +60,19 @@ type simCT struct {
 }
 
 func (c *simCT) Bound() *big.Int { return c.bound }
-func (c *simCT) Size() int       { return c.size }
 
 type simPartial struct {
 	index, epoch int
 	value        *big.Int //yosolint:secret simulated partial carries the plaintext in the clear
-	size         int
 }
 
 func (p *simPartial) Index() int { return p.index }
 func (p *simPartial) Epoch() int { return p.epoch }
-func (p *simPartial) Size() int  { return p.size }
 
-type simSub struct {
-	from, to, epoch int
-	size            int
-}
+type simSub struct{ from, to, epoch int }
 
 func (s *simSub) From() int { return s.from }
 func (s *simSub) To() int   { return s.to }
-func (s *simSub) Size() int { return s.size }
 
 // KeyGen implements TKGen.
 func (s *Sim) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
@@ -93,7 +82,7 @@ func (s *Sim) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	max := new(big.Int).Lsh(big.NewInt(1), uint(s.ModulusBits-2))
 	shares := make([]KeyShare, n)
 	for i := 1; i <= n; i++ {
-		shares[i-1] = &simShare{index: i, size: s.shareSize()}
+		shares[i-1] = &simShare{index: i}
 	}
 	return &simPK{n: n, t: t, maxPlain: max, ctBytes: s.ctSize()}, shares, nil
 }
@@ -177,7 +166,6 @@ func (s *Sim) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialD
 		index: ssh.index,
 		epoch: ssh.epoch,
 		value: new(big.Int).Set(sct.value),
-		size:  s.partSize(),
 	}, nil
 }
 
@@ -235,7 +223,7 @@ func (s *Sim) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	}
 	subs := make([]SubShare, spk.n)
 	for j := 1; j <= spk.n; j++ {
-		subs[j-1] = &simSub{from: ssh.index, to: j, epoch: ssh.epoch, size: s.subSize()}
+		subs[j-1] = &simSub{from: ssh.index, to: j, epoch: ssh.epoch}
 	}
 	return subs, nil
 }
@@ -269,7 +257,7 @@ func (s *Sim) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyShare, 
 	if len(froms) < spk.t+1 {
 		return nil, fmt.Errorf("%w: have %d subshares, need %d", ErrTooFewPartials, len(froms), spk.t+1)
 	}
-	return &simShare{index: index, epoch: epoch + 1, size: s.shareSize()}, nil
+	return &simShare{index: index, epoch: epoch + 1}, nil
 }
 
 // SimPartialDecrypt implements the Simulator hook trivially: the ideal
@@ -286,7 +274,7 @@ func (s *Sim) SimPartialDecrypt(pk PublicKey, _ Ciphertext, target *big.Int,
 	sort.Ints(honest)
 	out := make([]PartialDec, len(honest))
 	for i, j := range honest {
-		out[i] = &simPartial{index: j, epoch: epoch, value: new(big.Int).Set(target), size: s.partSize()}
+		out[i] = &simPartial{index: j, epoch: epoch, value: new(big.Int).Set(target)}
 	}
 	return out, nil
 }

@@ -73,7 +73,6 @@ type thresholdShare struct {
 
 func (s *thresholdShare) Index() int { return s.index }
 func (s *thresholdShare) Epoch() int { return s.epoch }
-func (s *thresholdShare) Size() int  { return (s.d.BitLen() + 7) / 8 }
 
 type thresholdCT struct {
 	ct    *paillier.Ciphertext
@@ -82,18 +81,15 @@ type thresholdCT struct {
 }
 
 func (c *thresholdCT) Bound() *big.Int { return c.bound }
-func (c *thresholdCT) Size() int       { return c.size }
 
 type thresholdPartial struct {
 	index int
 	epoch int
 	v     *big.Int //yosolint:secret partial decryption c^(2Δ·d_i) mod N², secret until intentionally combined
-	size  int
 }
 
 func (p *thresholdPartial) Index() int { return p.index }
 func (p *thresholdPartial) Epoch() int { return p.epoch }
-func (p *thresholdPartial) Size() int  { return p.size }
 
 type thresholdSub struct {
 	from, to int
@@ -103,7 +99,6 @@ type thresholdSub struct {
 
 func (s *thresholdSub) From() int { return s.from }
 func (s *thresholdSub) To() int   { return s.to }
-func (s *thresholdSub) Size() int { return (s.v.BitLen() + 7) / 8 }
 
 // KeyGen implements TKGen: it derives the decryption exponent
 // d ≡ 0 (mod m), d ≡ 1 (mod N^s) and Shamir-shares it modulo N^s·m.
@@ -288,7 +283,7 @@ func (s *Threshold) partialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext, eng
 	if err != nil {
 		return nil, err
 	}
-	return &thresholdPartial{index: tsh.index, epoch: tsh.epoch, v: v, size: tpk.ctBytes}, nil
+	return &thresholdPartial{index: tsh.index, epoch: tsh.epoch, v: v}, nil
 }
 
 // Combine implements TDec: c' = Π v_i^(2Λ_i) where Λ_i = Δ·λ_i(0), then the
@@ -611,7 +606,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &thresholdPartial{index: j, epoch: epoch, v: v, size: tpk.ctBytes})
+		out = append(out, &thresholdPartial{index: j, epoch: epoch, v: v})
 	}
 	return out, nil
 }

@@ -466,25 +466,27 @@ func TestSizesArePositive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ct.Size() <= 0 {
-				t.Error("non-positive ct size")
+			codec := s.(Codec)
+			enc, err := codec.EncodeCiphertext(ct)
+			if err != nil || len(enc) != pk.CiphertextSize() {
+				t.Errorf("ciphertext encodes to %d bytes (%v), want %d", len(enc), err, pk.CiphertextSize())
 			}
-			if shares[0].Size() <= 0 {
-				t.Error("non-positive share size")
+			if enc, err := codec.EncodeKeyShare(shares[0]); err != nil || len(enc) == 0 {
+				t.Errorf("key share encodes to %d bytes (%v)", len(enc), err)
 			}
 			p, err := s.PartialDecrypt(pk, shares[0], ct)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Size() <= 0 {
-				t.Error("non-positive partial size")
+			if enc, err := codec.EncodePartial(p); err != nil || len(enc) == 0 {
+				t.Errorf("partial encodes to %d bytes (%v)", len(enc), err)
 			}
 			subs, err := s.Reshare(pk, shares[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if subs[0].Size() <= 0 {
-				t.Error("non-positive subshare size")
+			if enc, err := codec.EncodeSubShare(subs[0]); err != nil || len(enc) == 0 {
+				t.Errorf("subshare encodes to %d bytes (%v)", len(enc), err)
 			}
 		})
 	}

@@ -14,17 +14,17 @@ import (
 // encoding.go; layouts are documented in docs/WIRE.md.
 //
 // Ciphertexts encode as a fixed-width big-endian value of exactly
-// Ciphertext.Size() bytes, with no header: the size is pinned by the public
-// key and the plaintext bound is public context re-supplied at decode (the
-// bound is an evaluation artifact, not wire data), so measured bytes equal
-// modelled bytes.
+// PublicKey.CiphertextSize() bytes, with no header: the size is pinned by
+// the public key and the plaintext bound is public context re-supplied at
+// decode (the bound is an evaluation artifact, not wire data), so measured
+// bytes equal modelled bytes.
 
 const (
 	tagKeyShare = 0x03
 	tagPubInfo  = 0x04
 )
 
-// EncodeCiphertext serializes a ciphertext as Size() fixed-width bytes.
+// EncodeCiphertext serializes a ciphertext as CiphertextSize() fixed-width bytes.
 func (s *Threshold) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
 	tc, ok := ct.(*thresholdCT)
 	if !ok {
@@ -57,7 +57,7 @@ func (s *Threshold) DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) 
 	}, nil
 }
 
-// EncodeCiphertext serializes a sim ciphertext as Size() fixed-width bytes.
+// EncodeCiphertext serializes a sim ciphertext as CiphertextSize() fixed-width bytes.
 func (s *Sim) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
 	sc, ok := ct.(*simCT)
 	if !ok {
@@ -124,7 +124,7 @@ func (s *Sim) DecodeKeyShare(_ PublicKey, data []byte) (KeyShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simShare{index: int(fields[0]), epoch: int(fields[1]), size: s.shareSize()}, nil
+	return &simShare{index: int(fields[0]), epoch: int(fields[1])}, nil
 }
 
 // EncodePublicKey serializes the public key's board announcement: the

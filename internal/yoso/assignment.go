@@ -55,7 +55,7 @@ func (a *Assignment) FormCommittee(name string, n int, phase comm.Phase) (*Commi
 	if err != nil {
 		return nil, fmt.Errorf("yoso: encoding manifest for %q: %w", name, err)
 	}
-	a.board.Post("role-assignment", comm.PhaseSystem, comm.CatManifest, manWire, man)
+	a.board.Post("role-assignment", comm.PhaseSystem, comm.CatManifest, manWire)
 	behaviors := a.adv.Sample(n)
 	c := &Committee{Name: name, Roles: make([]*Role, n)}
 	for i := 1; i <= n; i++ {
@@ -71,7 +71,7 @@ func (a *Assignment) FormCommittee(name string, n int, phase comm.Phase) (*Commi
 			pub:       pub,
 			sec:       sec,
 		}
-		a.board.Post("role-assignment", phase, comm.CatRoleKeys, pub.Bytes(), pub)
+		a.board.Post("role-assignment", phase, comm.CatRoleKeys, pub.Bytes())
 	}
 	return c, nil
 }
@@ -93,7 +93,7 @@ func (a *Assignment) NewKnownParty(name string, index int, phase comm.Phase) (*R
 		pub:       pub,
 		sec:       sec,
 	}
-	a.board.Post("role-assignment", phase, comm.CatRoleKeys, pub.Bytes(), pub)
+	a.board.Post("role-assignment", phase, comm.CatRoleKeys, pub.Bytes())
 	return r, nil
 }
 

@@ -11,8 +11,9 @@ import (
 	"yosompc/internal/transport"
 )
 
-// Msg is one role's step message: the payload the driver reads back and
-// its wire encoding, the bytes the board meters.
+// Msg is one role's step message: the payload the driver keeps for itself
+// and reads back, and its wire encoding, the only form that reaches the
+// board.
 type Msg struct {
 	Payload any
 	Wire    []byte
@@ -164,7 +165,7 @@ func (e *Engine) speak(role *Role, s Step) (*speech, error) {
 		return nil, fmt.Errorf("%s at %s: %w", role.Name(), s.Label, err)
 	}
 	sh := &speech{msg: msg}
-	role.Post(s.Phase, s.Cat, msg.Wire, msg.Payload)
+	role.Post(s.Phase, s.Cat, msg.Wire)
 	if s.NoProofs {
 		return sh, nil
 	}
@@ -173,7 +174,7 @@ func (e *Engine) speak(role *Role, s Step) (*speech, error) {
 	} else {
 		sh.proof = e.Auth.Attest(e.statement(role, s))
 	}
-	role.Post(s.Phase, comm.CatProof, sh.proof.Bytes(), sh.proof)
+	role.Post(s.Phase, comm.CatProof, sh.proof.Bytes())
 	return sh, nil
 }
 

@@ -103,7 +103,7 @@ func (r *Role) SecretKey() pke.SecretKey {
 // message's binary encoding (the board meters len(wire)). A role may Post
 // several board entries within its speaking window (they form one logical
 // message), but any Post after Spoke is a protocol violation.
-func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte, payload any) {
+func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte) {
 	r.mu.Lock()
 	if r.spoke {
 		r.mu.Unlock()
@@ -118,7 +118,7 @@ func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte, payload an
 	// The speak-once decision is now recorded; release the lock before
 	// the board call, which may block on a remote transport.
 	r.mu.Unlock()
-	r.board.Post(r.Name(), phase, cat, wire, payload)
+	r.board.Post(r.Name(), phase, cat, wire)
 }
 
 // Spoke delivers the Spoke token: the role is killed and its state erased.
@@ -149,29 +149,6 @@ func (c *Committee) N() int { return len(c.Roles) }
 
 // Role returns the 1-based member i.
 func (c *Committee) Role(i int) *Role { return c.Roles[i-1] }
-
-// Honest returns the 1-based indices of protocol-following members
-// (Honest and Leaky).
-func (c *Committee) Honest() []int {
-	var out []int
-	for i, r := range c.Roles {
-		if r.Behavior.FollowsProtocol() {
-			out = append(out, i+1)
-		}
-	}
-	return out
-}
-
-// CountBehavior returns how many members have the given behavior.
-func (c *Committee) CountBehavior(b Behavior) int {
-	n := 0
-	for _, r := range c.Roles {
-		if r.Behavior == b {
-			n++
-		}
-	}
-	return n
-}
 
 // SpeakAll delivers the Spoke token to every member — the committee's step
 // is over and all its machines erase their state.

@@ -1,6 +1,7 @@
 package yoso
 
 import (
+	"bytes"
 	"testing"
 
 	"yosompc/internal/comm"
@@ -49,10 +50,7 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 	if _, err := a.FormCommittee("offB1", 5, comm.PhaseOffline); err != nil {
 		t.Fatal(err)
 	}
-	first, err := board.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := board.All()[0]
 	if first.From != "role-assignment" || first.Phase != comm.PhaseSystem || first.Category != comm.CatManifest {
 		t.Fatalf("first posting = %+v, want system-phase manifest", first)
 	}
@@ -74,7 +72,8 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 	if _, err := a.FormCommittee("tiny", 2, comm.PhaseOffline); err != nil {
 		t.Fatal(err)
 	}
-	entry, _ := board.Get(board.Len() - 3) // manifest precedes the 2 role keys
+	all := board.All()
+	entry := all[len(all)-3] // manifest precedes the 2 role keys
 	if err := man.UnmarshalBinary(entry.Bytes); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestSpokeEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := c.Role(1)
-	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10), "msg")
+	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10))
 	if board.Len() != 4 { // 1 manifest + 2 role keys + 1 message
 		t.Errorf("board has %d postings", board.Len())
 	}
@@ -103,7 +102,7 @@ func TestSpokeEnforcement(t *testing.T) {
 			t.Error("no panic when posting after Spoke")
 		}
 	}()
-	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10), "again")
+	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10))
 }
 
 func TestSecretErasedAfterSpoke(t *testing.T) {
@@ -130,7 +129,7 @@ func TestFailStopPostsNothing(t *testing.T) {
 	}
 	before := board.Len()
 	for i := 1; i <= 3; i++ {
-		c.Role(i).Post(comm.PhaseOnline, comm.CatMu, make([]byte, 100), "x")
+		c.Role(i).Post(comm.PhaseOnline, comm.CatMu, make([]byte, 100))
 	}
 	if board.Len() != before {
 		t.Errorf("fail-stop roles posted %d messages", board.Len()-before)
@@ -210,14 +209,12 @@ func TestCommitteeHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CountBehavior(Malicious); got != 2 {
-		t.Errorf("malicious = %d", got)
+	count := map[Behavior]int{}
+	for _, r := range c.Roles {
+		count[r.Behavior]++
 	}
-	if got := c.CountBehavior(FailStop); got != 1 {
-		t.Errorf("fail-stop = %d", got)
-	}
-	if got := len(c.Honest()); got != 3 {
-		t.Errorf("honest = %d", got)
+	if count[Malicious] != 2 || count[FailStop] != 1 || count[Honest] != 3 {
+		t.Errorf("behaviors = %v, want 2 malicious, 1 fail-stop, 3 honest", count)
 	}
 	c.SpeakAll()
 	for i := 1; i <= 6; i++ {
@@ -237,23 +234,17 @@ func TestBehaviorString(t *testing.T) {
 
 func TestBoardPostingOrder(t *testing.T) {
 	board := transport.NewBoard(nil)
-	s1 := board.Post("a", comm.PhaseSetup, comm.CatCRS, []byte{1}, "one")
-	s2 := board.Post("b", comm.PhaseSetup, comm.CatCRS, []byte{2, 2}, "two")
+	s1 := board.Post("a", comm.PhaseSetup, comm.CatCRS, []byte{1})
+	s2 := board.Post("b", comm.PhaseSetup, comm.CatCRS, []byte{2, 2})
 	if s1 != 0 || s2 != 1 {
 		t.Errorf("sequence numbers %d, %d", s1, s2)
 	}
-	p, err := board.Get(1)
-	if err != nil {
-		t.Fatal(err)
+	all := board.All()
+	if len(all) != 2 {
+		t.Fatal("All() wrong length")
 	}
-	if p.Payload != "two" || p.From != "b" {
+	if p := all[1]; p.Seq != 1 || p.From != "b" || !bytes.Equal(p.Bytes, []byte{2, 2}) {
 		t.Errorf("posting = %+v", p)
-	}
-	if _, err := board.Get(5); err == nil {
-		t.Error("Get(5) succeeded on 2-entry board")
-	}
-	if len(board.All()) != 2 {
-		t.Error("All() wrong length")
 	}
 }
 
